@@ -22,7 +22,7 @@ from .errors import (
     PrescienceViolationError,
     UnifilarRequiredError,
 )
-from .info_measures import plogp
+from .info_measures import entropy_bits
 from .process_model import (
     MachineSpec,
     Transition,
@@ -508,12 +508,17 @@ class SynchronizationProfile:
 def synchronization_profile(
     mem, L_max: int, block_budget: int | None = None
 ) -> SynchronizationProfile:
-    """H(R^t | last L symbols) for L = 1..L_max, from the stationary joint."""
+    """H(R^t | last L symbols) for L = 1..L_max, from the stationary joint.
+
+    One forward pass: the word-state table for L extends the one for L-1.
+    """
     machine = mem.machine if isinstance(mem, PrescientMemory) else mem
     entries = []
+    joint = machine.word_state_vectors(0)
     for L in range(1, L_max + 1):
-        joint = machine.word_state_vectors(L, block_budget)
-        residual = float(-plogp(joint).sum() + plogp(joint.sum(axis=1)).sum())
+        machine.check_budget(L, block_budget)
+        joint = machine.extend_words(joint)
+        residual = entropy_bits(joint) - entropy_bits(joint.sum(axis=1))
         entries.append((L, max(residual, 0.0)))
     return SynchronizationProfile(entries=tuple(entries))
 

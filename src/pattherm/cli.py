@@ -32,7 +32,7 @@ from .process_model import (
     save_machine_file,
     validate_machine,
 )
-from .thermo_costs import CSV_COLUMNS, Units, cycle_report
+from .thermo_costs import CSV_COLUMNS, Units, cycle_report, format_work
 
 EXIT_VALIDATION = 2
 EXIT_PRESCIENCE = 3
@@ -57,6 +57,14 @@ def _memory_for(machine, selector: str):
     if selector == "causal":
         return causal_memory(causal)
     return load_memory_file(selector, causal)
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts and lengths: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
 
 
 def _add_units_flags(p):
@@ -164,10 +172,9 @@ def cmd_simulate(args) -> int:
     trace, ledger = run_cycle(cfg)
     h_cond, n_sym = ledger.empirical_conditional_entropy()
     h_sym, _ = ledger.empirical_symbol_entropy()
-    report = cycle_report(mem, args.k)
     print(f"blocks = {ledger.block_count}, k = {args.k}, seed = {args.seed}")
-    print(f"analytic per block: W_tape {report.w_tape:.9f}  "
-          f"W_diss {report.w_diss_eq3:.9f}  W_out {report.w_out:.9f} bits")
+    print(f"analytic per block: W_tape {ledger.w_tape_per_block:.9f}  "
+          f"W_diss {ledger.w_diss_per_block:.9f}  W_out {ledger.w_out_per_block:.9f} bits")
     print(f"battery balance = {ledger.battery_balance():.9f} bits "
           f"(net cost {ledger.cumulative_net():.9f})")
     h_analytic = entropy_rate(mem.base)
@@ -202,11 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="statistical complexity, entropy rate, "
                                        "excess entropy, synchronization")
     p.add_argument("machine", help="machine JSON file")
-    p.add_argument("--emax", type=int, default=12,
+    p.add_argument("--emax", type=positive_int, default=12,
                    help="max block length for excess-entropy convergence")
     p.add_argument("--etol", type=float, default=1e-9,
                    help="excess-entropy convergence tolerance")
-    p.add_argument("--sync-depth", type=int, default=6,
+    p.add_argument("--sync-depth", type=positive_int, default=6,
                    help="synchronization profile depth")
     p.set_defaults(func=cmd_analyze)
 
@@ -215,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=cost_columns)
     p.add_argument("machine")
     _add_memory_flag(p)
-    p.add_argument("-k", type=int, required=True, help="block stride")
+    p.add_argument("-k", type=positive_int, required=True, help="block stride")
     p.add_argument("--csv", action="store_true", help="emit the CSV row")
     _add_units_flags(p)
     p.set_defaults(func=cmd_costs)
@@ -237,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "ext_state_before,ext_state_after,battery_balance_bits")
     p.add_argument("machine")
     _add_memory_flag(p)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-n", "--blocks", type=int, required=True)
+    p.add_argument("-k", type=positive_int, required=True)
+    p.add_argument("-n", "--blocks", type=positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None, help="trace CSV path")
     p.set_defaults(func=cmd_simulate)

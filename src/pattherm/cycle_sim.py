@@ -23,8 +23,9 @@ import numpy as np
 
 from .causal_structure import PrescientMemory
 from .errors import DesynchronizedError, InsufficientDataError
-from .info_measures import FiniteDistribution, entropy
-from .thermo_costs import BITS, Units, cycle_report
+from .info_measures import FiniteDistribution, entropy_bits
+from .process_model import _cumulative_rows, _draw
+from .thermo_costs import BITS, Units, block_work
 
 
 @dataclass(frozen=True)
@@ -140,10 +141,10 @@ class WorkLedger:
         return n * (self.w_out_per_block - self.w_tape_per_block - self.w_diss_per_block)
 
     def empirical_symbol_entropy(self) -> tuple[float, int]:
-        return _counter_entropy(self.symbol_counts)
+        return _plugin_entropy(self.symbol_counts)
 
     def empirical_word_entropy(self) -> tuple[float, int]:
-        return _counter_entropy(self.word_counts)
+        return _plugin_entropy(self.word_counts)
 
     def empirical_conditional_entropy(self) -> tuple[float, int]:
         """Plug-in H(next symbol | generator state), in bits."""
@@ -156,17 +157,17 @@ class WorkLedger:
         h = 0.0
         for counts in by_state.values():
             n_state = sum(counts.values())
-            h_state, _ = _counter_entropy(counts)
+            h_state, _ = _plugin_entropy(counts)
             h += (n_state / total) * h_state
         return h, total
 
 
-def _counter_entropy(counts: Counter) -> tuple[float, int]:
+def _plugin_entropy(counts: Counter) -> tuple[float, int]:
+    """Plug-in entropy of a frequency table: (bits, total count)."""
     total = sum(counts.values())
     if total == 0:
         raise InsufficientDataError("empty frequency table")
-    p = np.array([c / total for c in counts.values()])
-    return float(-(p * np.log2(p)).sum()), total
+    return entropy_bits(np.array([c / total for c in counts.values()])), total
 
 
 def empirical_entropy(sequence, block_len: int, overlapping: bool = True):
@@ -188,23 +189,7 @@ def empirical_entropy(sequence, block_len: int, overlapping: bool = True):
         tuple(seq[i : i + block_len])
         for i in range(0, len(seq) - block_len + 1, step)
     )
-    return _counter_entropy(counts)
-
-
-def _cumulative_rows(matrix: np.ndarray):
-    """Per-row (cumsum, nonzero index array) lookup tables for sampling."""
-    rows = []
-    for row in matrix:
-        idx = np.flatnonzero(row)
-        ps = row[idx]
-        rows.append((np.cumsum(ps), idx))
-    return rows
-
-
-def _draw(rng, cum_idx) -> int:
-    cum, idx = cum_idx
-    pos = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    return int(idx[min(pos, len(idx) - 1)])
+    return _plugin_entropy(counts)
 
 
 def run_cycle(cfg: SimConfig):
@@ -220,42 +205,36 @@ def run_cycle(cfg: SimConfig):
     alphabet = machine.alphabet
     default = cfg.default_distribution or machine.default_distribution
 
-    emission = machine.emission_matrix()  # (n, a)
-    T = machine.symbol_matrices()  # (a, n, n)
-    emit_rows = _cumulative_rows(emission)
-    landing_rows = {}
-    for x in range(len(alphabet)):
-        for i in range(n):
-            row = T[x, i]
-            if row.sum() > 0.0:
-                landing_rows[(i, x)] = _cumulative_rows(row[None, :])[0]
+    a = len(alphabet)
+    emit_rows = _cumulative_rows(machine.emission_matrix())
+    # row i * a + x: landing state after emitting symbol x from state i
+    landing_rows = _cumulative_rows(machine.symbol_matrices().transpose(1, 0, 2).reshape(-1, n))
     default_row = _cumulative_rows(default.probs[None, :])[0]
 
-    ss = np.random.SeedSequence(cfg.seed)
-    pattern_rng, gen_rng, ext_rng, reset_rng = (
-        np.random.default_rng(s) for s in ss.spawn(4)
+    # one batch of uniforms per stream: the same doubles as one call per draw
+    n_draws = cfg.k * cfg.n_blocks + 1
+    pattern_u, gen_u, ext_u, reset_u = (
+        iter(np.random.default_rng(s).random(n_draws).tolist())
+        for s in np.random.SeedSequence(cfg.seed).spawn(4)
     )
 
     # start synchronized: one causal class, private sub-state draws
-    pi = machine.stationary().probs
     base_pi = mem.base.machine.stationary().probs
-    class0 = _draw(pattern_rng, (np.cumsum(base_pi), np.arange(len(base_pi))))
+    class0 = _draw(_cumulative_rows(base_pi[None, :])[0], next(pattern_u))
     class_label = mem.base.machine.states[class0]
-    members = np.array(
-        [i for i, s in enumerate(machine.states) if mem.causal_map[s] == class_label]
-    )
-    weights = pi[members]
+    in_class = np.array([mem.causal_map[s] == class_label for s in machine.states])
+    weights = machine.stationary().probs * in_class
     if weights.sum() <= 0.0:
-        weights = np.ones(len(members))
-    member_rows = (np.cumsum(weights), members)
-    gen_state = _draw(gen_rng, member_rows)
-    ext_state = _draw(ext_rng, member_rows)
+        weights = in_class.astype(float)
+    member_row = _cumulative_rows(weights[None, :])[0]
+    gen_state = _draw(member_row, next(gen_u))
+    ext_state = _draw(member_row, next(ext_u))
 
-    report = cycle_report(mem, cfg.k, default, BITS)
+    w_tape, diss, w_out = block_work(mem, cfg.k, default, BITS)
     ledger = WorkLedger(
-        w_tape_per_block=report.w_tape,
-        w_diss_per_block=report.w_diss_eq3,
-        w_out_per_block=report.w_out,
+        w_tape_per_block=w_tape,
+        w_diss_per_block=diss.eq3,
+        w_out_per_block=w_out,
         units=BITS,
     )
     tape = TapeState(capacity=cfg.k)
@@ -268,22 +247,22 @@ def run_cycle(cfg: SimConfig):
         ext_before = states[ext_state]
         block_symbols = []
         for _ in range(cfg.k):
-            x = _draw(pattern_rng, emit_rows[gen_state])
+            x = _draw(emit_rows[gen_state], next(pattern_u))
             ledger.state_symbol_counts[(states[gen_state], symbols[x])] += 1
             ledger.symbol_counts[symbols[x]] += 1
             tape.write(symbols[x])
             block_symbols.append(symbols[x])
-            gen_state = _draw(gen_rng, landing_rows[(gen_state, x)])
+            gen_state = _draw(landing_rows[gen_state * a + x], next(gen_u))
         for _ in range(cfg.k):
-            reset_sym = symbols[_draw(reset_rng, default_row)]
+            reset_sym = symbols[_draw(default_row, next(reset_u))]
             read = tape.consume(reset_sym)
             ledger.default_counts[reset_sym] += 1
-            x = alphabet.index(read)
-            if (ext_state, x) not in landing_rows:
+            row = landing_rows[ext_state * a + alphabet.index(read)]
+            if not row[1]:
                 raise DesynchronizedError(
                     f"extractor in {states[ext_state]!r} cannot read {read!r}"
                 )
-            ext_state = _draw(ext_rng, landing_rows[(ext_state, x)])
+            ext_state = _draw(row, next(ext_u))
         word = "".join(block_symbols)
         ledger.word_counts[word] += 1
         ledger.block_count += 1

@@ -9,7 +9,7 @@ well; they operate on validated machines from :mod:`pattherm.process_model`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,8 +36,22 @@ def plogp(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     out = np.zeros_like(p)
     mask = p > 0.0
-    out[mask] = p[mask] * np.log2(p[mask])
+    q = p[mask]
+    logq = np.log2(q)
+    logq *= q
+    out[mask] = logq
     return out
+
+
+def entropy_bits(p: np.ndarray) -> float:
+    """-sum(p * log2 p) of an unchecked array, in bits.
+
+    The one entropy sum in the package; callers that take outside input
+    validate it first (see `entropy`). The sum runs over the whole array,
+    zeros included: `simulate` traces print n times per-block costs built
+    from these sums, so another summation order would change their bytes.
+    """
+    return float(-plogp(p).sum()) + 0.0  # normalize -0.0
 
 
 def entropy(probs) -> float:
@@ -55,8 +69,7 @@ def entropy(probs) -> float:
     """
     if isinstance(probs, FiniteDistribution):
         probs = probs.probs
-    p = _as_prob_array(probs)
-    return float(-plogp(p).sum()) + 0.0  # normalize -0.0
+    return entropy_bits(_as_prob_array(probs))
 
 
 @dataclass(frozen=True)
@@ -77,7 +90,7 @@ class FiniteDistribution:
         object.__setattr__(self, "probs", p)
 
     def entropy(self) -> float:
-        return float(-plogp(self.probs).sum()) + 0.0
+        return entropy_bits(self.probs)
 
     def probability(self, label) -> float:
         return float(self.probs[self.labels.index(label)])
@@ -94,12 +107,11 @@ class JointTable:
 
     The probability array has one dimension per axis name; marginals and
     the conditional/mutual-information helpers are defined over axis-name
-    groups. Optional per-axis outcome labels are kept for reporting.
+    groups.
     """
 
     axes: tuple[str, ...]
     probs: np.ndarray
-    labels: tuple | None = field(default=None)
 
     def __post_init__(self):
         axes = tuple(self.axes)
@@ -111,8 +123,6 @@ class JointTable:
         _as_prob_array(p)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "probs", p)
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(tuple(l) for l in self.labels))
 
     def _axis_ids(self, names: Iterable[str] | str) -> tuple[int, ...]:
         if isinstance(names, str):
@@ -131,15 +141,11 @@ class JointTable:
         drop = tuple(i for i in range(self.probs.ndim) if i not in keep)
         p = self.probs.sum(axis=drop) if drop else self.probs
         kept_sorted = tuple(i for i in range(self.probs.ndim) if i in keep)
-        axes = tuple(self.axes[i] for i in kept_sorted)
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[i] for i in kept_sorted)
-        return JointTable(axes, p, labels)
+        return JointTable(tuple(self.axes[i] for i in kept_sorted), p)
 
     def entropy(self, names: Iterable[str] | str | None = None) -> float:
         if names is None:
-            return float(-plogp(self.probs).sum()) + 0.0
+            return entropy_bits(self.probs)
         return self.marginal(names).entropy()
 
     def conditional_entropy(self, target, given) -> float:
@@ -182,6 +188,12 @@ def mutual_information(j, group_a, group_b) -> float:
     return _table_of(j).mutual_information(group_a, group_b)
 
 
+def symbol_entropy_given_state(m) -> float:
+    """H(X^{t+1} | R^t) of a validated machine at its stationary state."""
+    pi = m.stationary().probs
+    return float(-(pi[:, None] * plogp(m.emission_matrix())).sum()) + 0.0
+
+
 def entropy_rate(m) -> float:
     """Per-symbol entropy of the process, conditioned on the causal state.
 
@@ -190,10 +202,7 @@ def entropy_rate(m) -> float:
     """
     from .causal_structure import as_causal
 
-    causal = as_causal(m).machine
-    pi = causal.stationary().probs
-    emission = causal.emission_matrix()
-    return float(-(pi[:, None] * plogp(emission)).sum()) + 0.0
+    return symbol_entropy_given_state(as_causal(m).machine)
 
 
 def block_entropy(m, length: int, block_budget: int | None = None) -> float:
@@ -201,7 +210,7 @@ def block_entropy(m, length: int, block_budget: int | None = None) -> float:
     if length == 0:
         return 0.0
     words = m.word_state_vectors(length, block_budget=block_budget)
-    return float(-plogp(words.sum(axis=1)).sum()) + 0.0
+    return entropy_bits(words.sum(axis=1))
 
 
 @dataclass(frozen=True)

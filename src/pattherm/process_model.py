@@ -12,6 +12,7 @@ format.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -27,7 +28,7 @@ from .errors import (
     SingularSolveError,
     UnifilarRequiredError,
 )
-from .info_measures import FiniteDistribution, JointTable, uniform_distribution
+from .info_measures import FiniteDistribution, JointTable, entropy_bits, uniform_distribution
 
 ROW_TOL = 1e-12
 DEFAULT_BLOCK_BUDGET = 1 << 16  # max number of words in any block enumeration
@@ -155,9 +156,13 @@ class ValidatedMachine:
         self.check_budget(length, block_budget)
         vec = self.stationary().probs[None, :].copy()
         for _ in range(length):
-            vec = np.einsum("wi,xij->wxj", vec, self._symbol_matrices)
-            vec = vec.reshape(-1, self.n_states)
+            vec = self.extend_words(vec)
         return vec
+
+    def extend_words(self, vec: np.ndarray) -> np.ndarray:
+        """Lengthen every word of a word-state table A[w, j] by one symbol."""
+        vec = np.einsum("wi,xij->wxj", vec, self._symbol_matrices)
+        return vec.reshape(-1, self.n_states)
 
     def per_state_word_distributions(
         self, length: int, block_budget: int | None = None
@@ -181,76 +186,29 @@ class StationaryDistribution:
     probs: np.ndarray
 
     def entropy(self) -> float:
-        from .info_measures import plogp
-
-        return float(-plogp(self.probs).sum()) + 0.0
+        return entropy_bits(self.probs)
 
     def probability(self, state: str) -> float:
         return float(self.probs[self.machine.state_index(state)])
 
 
-def _recurrent_classes(n: int, adjacency: np.ndarray) -> list[set[int]]:
-    """Strongly connected components with no outgoing edges."""
-    # iterative Tarjan
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp_of = [-1] * n
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(np.flatnonzero(adjacency[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                w = int(w)
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(np.flatnonzero(adjacency[w]))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = len(comps)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    recurrent = []
-    for ci, comp in enumerate(comps):
-        leaves = False
-        for v in comp:
-            for w in np.flatnonzero(adjacency[v]):
-                if comp_of[int(w)] != ci:
-                    leaves = True
-                    break
-            if leaves:
-                break
-        if not leaves:
-            recurrent.append(set(comp))
-    return recurrent
+def _recurrent_classes(adjacency: np.ndarray) -> list[list[int]]:
+    """Closed communicating classes of a 0/1 transition graph.
+
+    Squares the reflexive adjacency matrix until its reachability stops
+    growing. A state is recurrent iff every state it reaches reaches it
+    back; its reachable set is then its class.
+    """
+    reach = (adjacency | np.eye(len(adjacency), dtype=bool)).astype(float)
+    while True:
+        grown = (reach @ reach > 0.0).astype(float)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    reach = reach > 0.0
+    recurrent = np.all(reach.T | ~reach, axis=1)
+    firsts = set(reach[recurrent].argmax(axis=1).tolist())  # lowest member per class
+    return [np.flatnonzero(reach[i]).tolist() for i in sorted(firsts)]
 
 
 def validate_machine(spec: MachineSpec) -> ValidatedMachine:
@@ -302,7 +260,7 @@ def validate_machine(spec: MachineSpec) -> ValidatedMachine:
         )
 
     adjacency = T.sum(axis=0) > 0.0
-    recurrent = _recurrent_classes(n, adjacency)
+    recurrent = _recurrent_classes(adjacency)
     if len(recurrent) != 1:
         names = [sorted(states[i] for i in comp) for comp in recurrent]
         raise DisconnectedError(
@@ -372,18 +330,19 @@ class JointBlockDistribution:
             idx = idx * len(self.machine.alphabet) + self.machine.alphabet.index(s)
         return idx
 
+    def word(self, index: int) -> str:
+        """The symbol string at position `index` of the table's word axis."""
+        return self.machine.alphabet.word(index, self.k)
+
     def word_probabilities(self) -> np.ndarray:
         return self.table.probs.sum(axis=(0, 2))
 
     def entries(self):
         """Yield ((state_in, word, state_out), p) for all positive entries."""
         probs = self.table.probs
-        alph = self.machine.alphabet
+        states = self.machine.states
         for i, w, j in zip(*np.nonzero(probs)):
-            yield (
-                (self.machine.states[i], alph.word(int(w), self.k), self.machine.states[j]),
-                float(probs[i, w, j]),
-            )
+            yield (states[i], self.word(int(w)), states[j]), float(probs[i, w, j])
 
 
 def _split_word(word: str, alphabet: Alphabet) -> list[str]:
@@ -415,7 +374,7 @@ def joint_block_distribution(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n_words = m.check_budget(k, block_budget)
+    m.check_budget(k, block_budget)
     n = m.n_states
     T = m.symbol_matrices()
     cur = np.zeros((n, 1, n))
@@ -423,46 +382,46 @@ def joint_block_distribution(
     cur[np.arange(n), 0, np.arange(n)] = pi
     for _ in range(k):
         cur = np.einsum("rwi,xij->rwxj", cur, T).reshape(n, -1, n)
-    words = tuple(m.alphabet.word(w, k) for w in range(n_words))
-    table = JointTable(
-        axes=("state_in", "word", "state_out"),
-        probs=cur,
-        labels=(m.states, words, m.states),
-    )
-    return JointBlockDistribution(m, k, table)
+    return JointBlockDistribution(m, k, JointTable(("state_in", "word", "state_out"), cur))
+
+
+def _cumulative_rows(matrix: np.ndarray) -> list[tuple[list, list]]:
+    """Per-row (cumulative masses, column indices) over the positive entries.
+
+    The sampling table for `_draw`; an all-zero row gives empty lists.
+    """
+    rows = []
+    for row in matrix:
+        idx = np.flatnonzero(row)
+        rows.append((np.cumsum(row[idx]).tolist(), idx.tolist()))
+    return rows
+
+
+def _draw(row: tuple[list, list], u: float) -> int:
+    """Column index that a uniform draw `u` in [0, 1) selects from a row."""
+    cum, idx = row
+    return idx[min(bisect_right(cum, u * cum[-1]), len(idx) - 1)]
 
 
 def sample_path(m: ValidatedMachine, seed: int, n: int):
     """Draw a length-n stationary trajectory, bit-identical per seed.
 
     Returns (states, symbols): `states` has n+1 labels (state before each
-    symbol plus the final state), `symbols` has n labels.
+    symbol plus the final state), `symbols` has n labels. Each step draws
+    one (symbol, next state) edge of the current state.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    T = m.symbol_matrices()
     n_states = m.n_states
-    # per-state edge lists: cumulative probabilities over (symbol, target)
-    edges = []
-    for i in range(n_states):
-        xs, js = np.nonzero(T[:, i, :])
-        ps = T[xs, i, js]
-        order = np.argsort(-ps, kind="stable")
-        xs, js, ps = xs[order], js[order], ps[order]
-        edges.append((np.cumsum(ps), xs, js))
-    pi = m.stationary().probs
-    state = int(np.searchsorted(np.cumsum(pi), rng.random(), side="right"))
-    state = min(state, n_states - 1)
+    # edge e = x * n_states + j of row i: emit symbol x and move to state j
+    edges = _cumulative_rows(m.symbol_matrices().transpose(1, 0, 2).reshape(n_states, -1))
+    draws = np.random.default_rng(seed).random(n + 1).tolist()
+    state = _draw(_cumulative_rows(m.stationary().probs[None, :])[0], draws[0])
     states = [m.states[state]]
     symbols = []
-    draws = rng.random(n)
-    for t in range(n):
-        cum, xs, js = edges[state]
-        e = int(np.searchsorted(cum, draws[t] * cum[-1], side="right"))
-        e = min(e, len(xs) - 1)
-        symbols.append(m.alphabet.symbols[xs[e]])
-        state = int(js[e])
+    for u in draws[1:]:
+        x, state = divmod(_draw(edges[state], u), n_states)
+        symbols.append(m.alphabet.symbols[x])
         states.append(m.states[state])
     return states, symbols
 
@@ -472,6 +431,19 @@ def sample_path(m: ValidatedMachine, seed: int, n: int):
 
 _MACHINE_FIELDS = {"alphabet", "states", "transitions", "default_distribution"}
 _TRANSITION_FIELDS = {"from", "symbol", "p", "to"}
+
+
+def _list_field(data: dict, name: str) -> list:
+    value = data[name]
+    if not isinstance(value, list):
+        raise MachineSpecError(f"machine field {name!r} must be a list, got {value!r}")
+    return value
+
+
+def _probability(value, where) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MachineSpecError(f"probability {value!r} in {where} is not a number")
+    return float(value)
 
 
 def parse_machine(data: dict) -> MachineSpec:
@@ -484,9 +456,10 @@ def parse_machine(data: dict) -> MachineSpec:
     for required in ("alphabet", "states", "transitions"):
         if required not in data:
             raise MachineSpecError(f"missing machine field {required!r}")
-    alphabet = Alphabet(tuple(str(s) for s in data["alphabet"]))
+    alphabet = Alphabet(tuple(str(s) for s in _list_field(data, "alphabet")))
+    states = tuple(str(s) for s in _list_field(data, "states"))
     transitions = []
-    for row in data["transitions"]:
+    for row in _list_field(data, "transitions"):
         if not isinstance(row, dict):
             raise MachineSpecError(f"transition rows must be objects, got {row!r}")
         unknown = set(row) - _TRANSITION_FIELDS
@@ -496,7 +469,12 @@ def parse_machine(data: dict) -> MachineSpec:
         if missing:
             raise MachineSpecError(f"transition missing fields {sorted(missing)!r}")
         transitions.append(
-            Transition(str(row["from"]), str(row["symbol"]), float(row["p"]), str(row["to"]))
+            Transition(
+                str(row["from"]),
+                str(row["symbol"]),
+                _probability(row["p"], row),
+                str(row["to"]),
+            )
         )
     default = None
     if "default_distribution" in data:
@@ -506,7 +484,10 @@ def parse_machine(data: dict) -> MachineSpec:
         try:
             default = FiniteDistribution(
                 alphabet.symbols,
-                np.array([float(dd.get(s, 0.0)) for s in alphabet.symbols]),
+                np.array(
+                    [_probability(dd.get(s, 0.0), "default_distribution")
+                     for s in alphabet.symbols]
+                ),
             )
         except DistributionError as exc:
             raise MachineSpecError(f"bad default_distribution: {exc}") from exc
@@ -517,7 +498,7 @@ def parse_machine(data: dict) -> MachineSpec:
             )
     return MachineSpec(
         alphabet=alphabet,
-        states=tuple(str(s) for s in data["states"]),
+        states=states,
         transitions=tuple(transitions),
         default_distribution=default,
     )

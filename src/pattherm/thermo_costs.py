@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 from .causal_structure import CausalMachine, PrescientMemory, as_causal, causal_memory
 from .errors import PatthermError
-from .info_measures import FiniteDistribution, entropy, excess_entropy
+from .info_measures import (
+    FiniteDistribution,
+    JointTable,
+    entropy,
+    excess_entropy,
+    symbol_entropy_given_state,
+)
 from .process_model import ValidatedMachine, joint_block_distribution
 
 K_BOLTZMANN = 1.380649e-23  # J/K
@@ -61,16 +67,6 @@ def _as_memory(m) -> PrescientMemory:
     raise TypeError(f"expected a machine or memory, got {type(m).__name__}")
 
 
-def _memory_conditional_symbol_entropy(mem: PrescientMemory) -> float:
-    """H(X^{t+1} | R^t) from the memory machine's own stationary state."""
-    from .info_measures import plogp
-
-    machine = mem.machine
-    pi = machine.stationary().probs
-    emission = machine.emission_matrix()
-    return float(-(pi[:, None] * plogp(emission)).sum()) + 0.0
-
-
 def _default_dist(mem: PrescientMemory, default) -> FiniteDistribution:
     if default is None:
         return mem.machine.default_distribution
@@ -89,7 +85,7 @@ def generation_tape_cost(
     if k < 1:
         raise ValueError("k must be >= 1")
     mem = _as_memory(m)
-    h = _memory_conditional_symbol_entropy(causal_memory(mem.base))
+    h = symbol_entropy_given_state(mem.base.machine)
     d = _default_dist(mem, default)
     return units.convert(k * (entropy(d) - h))
 
@@ -131,8 +127,10 @@ def dissipation_cost(
     bookkeeping itself is broken.
     """
     mem = _as_memory(m)
-    joint = joint_block_distribution(mem.machine, k, block_budget)
-    t = joint.table
+    return _dissipation(joint_block_distribution(mem.machine, k, block_budget).table, k, units)
+
+
+def _dissipation(t: JointTable, k: int, units: Units) -> DissipationCost:
     eq2 = t.conditional_entropy("state_in", ("word", "state_out")) - t.conditional_entropy(
         "state_out", ("state_in", "word")
     )
@@ -210,10 +208,15 @@ def extraction_work(
     if k < 1:
         raise ValueError("k must be >= 1")
     mem = _as_memory(m)
-    h = _memory_conditional_symbol_entropy(mem)
+    table = joint_block_distribution(mem.machine, k, block_budget).table
+    return _extraction(mem, table, k, default, units)
+
+
+def _extraction(
+    mem: PrescientMemory, t: JointTable, k: int, default, units: Units
+) -> ExtractionWork:
+    h = symbol_entropy_given_state(mem.machine)
     d = _default_dist(mem, default)
-    joint = joint_block_distribution(mem.machine, k, block_budget)
-    t = joint.table
     intermediate = t.conditional_entropy(("state_in", "word"), "state_out")
     identity = k * h + t.conditional_entropy("state_out", ("state_in", "word"))
     if abs(intermediate - identity) > IDENTITY_TOL:
@@ -280,6 +283,21 @@ class CostReport:
         ]
 
 
+def block_work(
+    m,
+    k: int,
+    default: FiniteDistribution | None = None,
+    units: Units = BITS,
+    block_budget: int | None = None,
+) -> tuple[float, DissipationCost, float]:
+    """(W_tape, dissipation, W_out) for one k-block, from one joint table."""
+    mem = _as_memory(m)
+    w_tape = generation_tape_cost(mem, k, default, units)
+    table = joint_block_distribution(mem.machine, k, block_budget).table
+    diss = _dissipation(table, k, units)
+    return w_tape, diss, _extraction(mem, table, k, default, units).value
+
+
 def cycle_report(
     m,
     k: int,
@@ -295,9 +313,7 @@ def cycle_report(
     flags whether the chosen memory attains the causal minimum.
     """
     mem = _as_memory(m)
-    w_tape = generation_tape_cost(mem, k, default, units)
-    diss = dissipation_cost(mem, k, units, block_budget)
-    w_out = extraction_work(mem, k, default, units, block_budget).value
+    w_tape, diss, w_out = block_work(mem, k, default, units, block_budget)
     if excess is None:
         excess = excess_entropy(mem.base.machine, block_budget=block_budget)
     limit = dissipation_limit(mem, excess, units)

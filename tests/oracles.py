@@ -152,3 +152,26 @@ def brute_block_entropy(machine, L: int) -> float:
         for tr in edges[s]:
             stack.append((tr.to, word + tr.symbol, p * tr.p))
     return dict_entropy(words)
+
+
+def bfs_recurrent_classes(adjacency) -> tuple[set, set]:
+    """(recurrent classes as frozensets, transient states) of a 0/1 graph.
+
+    Breadth-first search from every node; a node is recurrent iff every
+    node it reaches reaches it back.
+    """
+    n = len(adjacency)
+    reach = []
+    for start in range(n):
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            v = frontier.pop(0)
+            for w in range(n):
+                if adjacency[v][w] and w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        reach.append(seen)
+    recurrent = [s for s in range(n) if all(s in reach[t] for t in reach[s])]
+    classes = {frozenset(reach[s]) for s in recurrent}
+    return classes, set(range(n)) - set(recurrent)

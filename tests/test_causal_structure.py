@@ -5,6 +5,7 @@ import pytest
 
 from pattherm import (
     Alphabet,
+    BlockTooLargeError,
     KernelError,
     MachineSpec,
     PrescienceViolationError,
@@ -27,6 +28,7 @@ from pattherm import (
     validate_machine,
 )
 from pattherm.causal_structure import load_memory_file, parse_kernel
+from pattherm.info_measures import entropy_bits
 from pattherm.process_model import machine_to_dict
 
 from .oracles import (
@@ -263,6 +265,31 @@ class TestSynchronization:
             profile = synchronization_profile(target, 6)
             values = [v for _, v in profile.entries]
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_single_pass_equals_per_length_tables(self, even):
+        # a non-unifilar 3-symbol machine: positive residuals at every depth
+        rng = np.random.default_rng(5)
+        states, symbols = ("a", "b", "c", "d"), ("0", "1", "2")
+        transitions = [
+            Transition(s, x, float(p), t)
+            for s in states
+            for (x, t), p in zip(
+                [(x, t) for x in symbols for t in states], rng.dirichlet(np.ones(12))
+            )
+        ]
+        random3 = validate_machine(MachineSpec(Alphabet(symbols), states, tuple(transitions)))
+        for machine, depth in ((even, 16), (random3, 10)):
+            profile = synchronization_profile(machine, depth)
+            assert len(profile.entries) == depth
+            for L, residual in profile.entries:
+                joint = machine.word_state_vectors(L)
+                per_length = entropy_bits(joint) - entropy_bits(joint.sum(axis=1))
+                assert residual == max(per_length, 0.0)
+
+    def test_budget_refusal_at_same_depth(self, even):
+        assert len(synchronization_profile(even, 5, block_budget=2**5).entries) == 5
+        with pytest.raises(BlockTooLargeError, match=r"2\^6 = 64 words"):
+            synchronization_profile(even, 6, block_budget=2**5)
 
     def test_unsynchronized_memory_reported(self, pc_memories):
         # the injected split bit is invisible to the past

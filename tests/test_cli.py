@@ -1,6 +1,9 @@
+import hashlib
 import json
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pattherm import machine_to_dict, minimize_to_causal, validate_machine
@@ -17,6 +20,15 @@ from pattherm.process_model import load_machine_file, save_machine_file
 from .oracles import binary_entropy
 
 HB9 = binary_entropy(0.9)
+MACHINES = Path(__file__).resolve().parent.parent / "machines"
+
+
+def exit_code(argv) -> int:
+    """`main`'s return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture()
@@ -165,6 +177,19 @@ class TestCosts:
         path.write_text(json.dumps(data))
         assert main(["costs", pc_file, "--memory", str(path), "-k", "1"]) == 3
 
+    def test_text_report_pc_k4(self, capsys):
+        assert main(["costs", str(MACHINES / "pc09.json"), "-k", "4"]) == 0
+        assert capsys.readouterr().out == (
+            "k = 4, memory = causal (causal minimum)\n"
+            "W_tape        = 2.124017626 bits\n"
+            "W_diss (eq2)  = 0.468995594 bits\n"
+            "W_diss (eq3)  = 0.468995594 bits\n"
+            "W_diss (eq5)  = 0.468995594 bits\n"
+            "W_out         = 2.124017626 bits\n"
+            "W_diss limit  = 0.468995594 bits (H(R) - E)\n"
+            "net cycle cost = 0.468995594 bits\n"
+        )
+
     def test_block_budget_exits_4(self, pc_file):
         assert main(["costs", pc_file, "-k", "30"]) == 4
 
@@ -230,6 +255,93 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert grab(r"empirical H\(X\|R\) = ([\d.]+)", out) == 0.0
         assert grab(r"battery balance = (-?[\d.]+)", out) == pytest.approx(0.0)
+
+
+    # SHA-256 of the trace CSV (-n 1000), recorded before the sampler was
+    # shared with sample_path; a changed draw order changes these bytes
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (["pc09.json", "-k", "1", "--seed", "0"],
+             "e1199fe511aa9f7b03d0d53e49d9e9587b27e14a66771c18d59a0e6443bdda17"),
+            (["pc09.json", "--memory", str(MACHINES / "kernels" / "pc_split50.json"),
+              "-k", "4", "--seed", "3"],
+             "2c4829dd47eaa8389257bc6aa6b8242b11188732ccea4160371da01ad95f5b44"),
+            (["gm.json", "-k", "3", "--seed", "7"],
+             "daae3e4ba45b50f3b3bc93f0aeb433e395e0c46fd5880f18ba0c161f7cf7fdf6"),
+        ],
+    )
+    def test_trace_bytes_pinned(self, args, digest, tmp_path, capsys):
+        out_path = tmp_path / "trace.csv"
+        argv = ["simulate", str(MACHINES / args[0]), *args[1:], "-n", "1000",
+                "-o", str(out_path)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+    def test_trace_bytes_pinned_random_40x3(self, tmp_path, capsys):
+        # the battery column prints n * (W_out - W_tape - W_diss) at 1e-9, so
+        # on this machine a last-bit change in the W_diss entropies shows
+        rng = np.random.default_rng(20151001)
+        states = [f"s{i}" for i in range(40)]
+        transitions = []
+        for i in range(40):
+            probs = rng.dirichlet(np.ones(3))
+            targets = rng.integers(0, 40, size=3)
+            targets[0] = (i + 1) % 40
+            transitions += [
+                {"from": states[i], "symbol": str(x), "p": float(probs[x]),
+                 "to": states[int(targets[x])]}
+                for x in range(3)
+            ]
+        path = tmp_path / "r40x3.json"
+        path.write_text(json.dumps(
+            {"alphabet": ["0", "1", "2"], "states": states, "transitions": transitions}
+        ))
+        out_path = tmp_path / "trace.csv"
+        argv = ["simulate", str(path), "-k", "1", "-n", "2000", "--seed", "0",
+                "-o", str(out_path)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "822bf080f2aaa77d891221554b034aa38bda8c6b7e8d8251126f79e818666149"
+        )
+
+
+def _machine_file(tmp_path, **changes):
+    data = machine_to_dict(validate_machine(perturbed_coin(0.9)))
+    data.update(changes)
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _bad_p(tmp_path):
+    data = machine_to_dict(validate_machine(perturbed_coin(0.9)))
+    data["transitions"][0]["p"] = "x"
+    return _machine_file(tmp_path, transitions=data["transitions"])
+
+
+MALFORMED = {
+    "alphabet-number": lambda t: ["analyze", _machine_file(t, alphabet=5)],
+    "alphabet-string": lambda t: ["analyze", _machine_file(t, alphabet="LR")],
+    "states-string": lambda t: ["analyze", _machine_file(t, states="LR")],
+    "p-string": lambda t: ["analyze", _bad_p(t)],
+    "costs-k0": lambda t: ["costs", _machine_file(t), "-k", "0"],
+    "simulate-k0": lambda t: ["simulate", _machine_file(t), "-k", "0", "-n", "5"],
+    "simulate-n0": lambda t: ["simulate", _machine_file(t), "-k", "1", "-n", "0"],
+    "analyze-emax0": lambda t: ["analyze", _machine_file(t), "--emax", "0"],
+    "analyze-sync-depth0": lambda t: ["analyze", _machine_file(t), "--sync-depth", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_with_one_error_line(case, tmp_path, capsys):
+    assert exit_code(MALFORMED[case](tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    # argparse prints its usage lines above the one error line
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
 
 
 class TestMinimize:

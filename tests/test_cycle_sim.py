@@ -89,7 +89,7 @@ class TestRunCycle:
         cfg = SimConfig(memory=causal_memory(gm_causal), k=3, n_blocks=40_000, seed=13)
         _, ledger = run_cycle(cfg)
         joint = joint_block_distribution(gm_causal.machine, 3)
-        labels = joint.table.labels[1]
+        labels = [joint.word(w) for w in range(joint.table.probs.shape[1])]
         expected_p = joint.word_probabilities()
         counts = np.array([ledger.word_counts.get(w, 0) for w in labels], dtype=float)
         keep = expected_p > 0.0

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pattherm import (
@@ -24,8 +24,9 @@ from pattherm import (
     validate_machine,
 )
 from pattherm.machines import golden_mean, perturbed_coin
+from pattherm.process_model import _recurrent_classes
 
-from .oracles import power_stationary
+from .oracles import bfs_recurrent_classes, power_stationary
 
 
 class TestValidation:
@@ -229,7 +230,7 @@ class TestSamplePath:
         joint = joint_block_distribution(gm, 3)
         expected_p = joint.word_probabilities()
         words = ["".join(symbols[i : i + 3]) for i in range(0, len(symbols) - 2, 3)]
-        labels = joint.table.labels[1]
+        labels = [joint.word(w) for w in range(joint.table.probs.shape[1])]
         counts = np.array([words.count(w) for w in labels], dtype=float)
         keep = expected_p > 0.0
         assert counts[~keep].sum() == 0
@@ -322,6 +323,33 @@ class TestRandomMachineProperties:
         assert joint.table.probs.sum() == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(joint.table.probs.sum(axis=(1, 2)), pi, atol=1e-10)
         np.testing.assert_allclose(joint.table.probs.sum(axis=(0, 1)), pi, atol=1e-10)
+
+
+@st.composite
+def random_graph(draw):
+    n = draw(st.integers(1, 30))
+    density = draw(st.sampled_from([0.02, 0.05, 0.1, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random((n, n)) < density
+
+
+# two closed 2-cycles fed by a source state with no in-edges
+TWO_CLASSES_AND_A_SOURCE = np.array(
+    [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [1, 0, 1, 0, 0]],
+    dtype=bool,
+)
+
+
+@given(random_graph())
+@example(TWO_CLASSES_AND_A_SOURCE)
+@settings(max_examples=150, deadline=None)
+def test_recurrent_classes_match_bfs_oracle(adjacency):
+    classes = _recurrent_classes(adjacency)
+    expected_classes, expected_transient = bfs_recurrent_classes(adjacency.tolist())
+    assert {frozenset(c) for c in classes} == expected_classes
+    assert len(classes) == len(expected_classes)
+    recurrent = set().union(*classes)
+    assert set(range(len(adjacency))) - recurrent == expected_transient
 
 
 def test_builders_match_documented_parameters():
