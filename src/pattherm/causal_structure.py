@@ -336,8 +336,9 @@ def previous_state_kernel(
     for tr in machine.transitions:
         if tr.frm not in predecessors[tr.to]:
             predecessors[tr.to].append(tr.frm)
+    # a state with no in-edges (transient) keeps one sub-state of its own
     subs = {
-        s: tuple(f"{p}>{s}" for p in predecessors[s]) for s in machine.states
+        s: tuple(f"{p}>{s}" for p in predecessors[s]) or (s,) for s in machine.states
     }
     rules = []
     for s in machine.states:
@@ -539,9 +540,16 @@ def parse_kernel(data: dict, name: str = "kernel") -> RefinementKernel:
         raise KernelError(f"unknown kernel fields {sorted(unknown)!r}")
     if "sub_states" not in data or "rules" not in data:
         raise KernelError("kernel file needs 'sub_states' and 'rules'")
-    subs = {
-        str(s): tuple(str(u) for u in us) for s, us in data["sub_states"].items()
-    }
+    sub_states = data["sub_states"]
+    if not isinstance(sub_states, dict) or not all(
+        isinstance(us, list) for us in sub_states.values()
+    ):
+        raise KernelError(
+            f"kernel 'sub_states' must map causal states to lists, got {sub_states!r}"
+        )
+    subs = {str(s): tuple(str(u) for u in us) for s, us in sub_states.items()}
+    if not isinstance(data["rules"], list):
+        raise KernelError(f"kernel 'rules' must be a list, got {data['rules']!r}")
     rules = []
     for row in data["rules"]:
         if not isinstance(row, dict):
@@ -551,10 +559,18 @@ def parse_kernel(data: dict, name: str = "kernel") -> RefinementKernel:
             raise KernelError(f"unknown rule fields {sorted(unknown)!r}")
         if "target" not in row or "p" not in row:
             raise KernelError("kernel rule needs 'target' and 'p'")
+        probs = row["p"]
+        if not isinstance(probs, dict) or not all(
+            isinstance(p, (int, float)) and not isinstance(p, bool)
+            for p in probs.values()
+        ):
+            raise KernelError(
+                f"kernel rule 'p' must map sub-states to numbers, got {probs!r}"
+            )
         rules.append(
             KernelRule(
                 target=str(row["target"]),
-                probs={str(u): float(p) for u, p in row["p"].items()},
+                probs={str(u): float(p) for u, p in probs.items()},
                 source_class=row.get("source_class"),
                 source_sub=row.get("source_sub"),
                 symbol=row.get("symbol"),
@@ -571,6 +587,10 @@ def parse_memory_machine(data: dict, base: CausalMachine, name: str) -> Prescien
         raise KernelError(f"unknown memory fields {sorted(unknown)!r}")
     if "machine" not in data or "causal_map" not in data:
         raise KernelError("memory file needs 'machine' and 'causal_map'")
+    if not isinstance(data["causal_map"], dict):
+        raise KernelError(
+            f"memory 'causal_map' must be an object, got {data['causal_map']!r}"
+        )
     machine = validate_machine(parse_machine(data["machine"]))
     causal_map = {str(u): str(s) for u, s in data["causal_map"].items()}
     unknown_targets = set(causal_map.values()) - set(base.machine.states)

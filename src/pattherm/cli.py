@@ -67,6 +67,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for seeds: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+    return value
+
+
 def _add_units_flags(p):
     p.add_argument("--units", choices=("bits", "kT"), default="bits",
                    help="output units: bits, or joules at temperature T")
@@ -246,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_memory_flag(p)
     p.add_argument("-k", type=positive_int, required=True)
     p.add_argument("-n", "--blocks", type=positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("-o", "--output", default=None, help="trace CSV path")
     p.set_defaults(func=cmd_simulate)
 

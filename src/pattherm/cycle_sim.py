@@ -208,7 +208,7 @@ def run_cycle(cfg: SimConfig):
     a = len(alphabet)
     emit_rows = _cumulative_rows(machine.emission_matrix())
     # row i * a + x: landing state after emitting symbol x from state i
-    landing_rows = _cumulative_rows(machine.symbol_matrices().transpose(1, 0, 2).reshape(-1, n))
+    landing_rows = _cumulative_rows(machine.step_matrix().reshape(-1, n))
     default_row = _cumulative_rows(default.probs[None, :])[0]
 
     # one batch of uniforms per stream: the same doubles as one call per draw

@@ -9,7 +9,7 @@ well; they operate on validated machines from :mod:`pattherm.process_model`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,11 +107,13 @@ class JointTable:
 
     The probability array has one dimension per axis name; marginals and
     the conditional/mutual-information helpers are defined over axis-name
-    groups.
+    groups. Marginal entropies are memoised per axis set, since the
+    conditional and mutual-information forms reuse the same few marginals.
     """
 
     axes: tuple[str, ...]
     probs: np.ndarray
+    _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         axes = tuple(self.axes)
@@ -146,7 +148,10 @@ class JointTable:
     def entropy(self, names: Iterable[str] | str | None = None) -> float:
         if names is None:
             return entropy_bits(self.probs)
-        return self.marginal(names).entropy()
+        key = tuple(sorted(self._axis_ids(names)))
+        if key not in self._entropies:
+            self._entropies[key] = self.marginal(names).entropy()
+        return self._entropies[key]
 
     def conditional_entropy(self, target, given) -> float:
         t = self._axis_ids(target)
@@ -206,11 +211,16 @@ def entropy_rate(m) -> float:
 
 
 def block_entropy(m, length: int, block_budget: int | None = None) -> float:
-    """Entropy of the stationary length-`length` word distribution, in bits."""
+    """Entropy of the stationary length-`length` word distribution, in bits.
+
+    P(w x) = sum_i A[w, i] E[i, x] over the length-1 shorter word-state
+    table A and the emission matrix E, with big-endian index w * |A| + x.
+    """
     if length == 0:
         return 0.0
-    words = m.word_state_vectors(length, block_budget=block_budget)
-    return entropy_bits(words.sum(axis=1))
+    m.check_budget(length, block_budget)
+    words = m.word_state_vectors(length - 1, block_budget)
+    return entropy_bits(words @ m.emission_matrix())
 
 
 @dataclass(frozen=True)
@@ -247,18 +257,28 @@ def excess_entropy(
     (or the block budget, which caps the 2L-word enumeration) is reached
     first, the last value is returned flagged non-converged and a
     NonConvergedWarning is issued.
+
+    One forward pass: H(j + 1) comes from the length-j word-state table as
+    in `block_entropy`, and each table extends the previous one by a
+    symbol, so no table longer than 2L - 1 symbols is built.
     """
     if L_max < 1:
         raise ValueError("L_max must be >= 1")
+    emission = m.emission_matrix()
+    blocks = [0.0]  # blocks[j] = H(j)
+    words = None  # then the word-state table of length len(blocks) - 2
     history: list[tuple[int, float]] = []
     prev = None
     for L in range(1, L_max + 1):
         try:
-            e_l = 2.0 * block_entropy(m, L, block_budget) - block_entropy(
-                m, 2 * L, block_budget
-            )
+            m.check_budget(L, block_budget)
+            m.check_budget(2 * L, block_budget)
         except BlockTooLargeError:
             break
+        while len(blocks) <= 2 * L:
+            words = m.word_state_vectors(0) if words is None else m.extend_words(words)
+            blocks.append(entropy_bits(words @ emission))
+        e_l = 2.0 * blocks[L] - blocks[2 * L]
         history.append((L, e_l))
         if prev is not None and abs(e_l - prev) < tol:
             return ExcessEntropyResult(e_l, True, L, tuple(history), tol)

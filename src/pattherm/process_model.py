@@ -101,6 +101,12 @@ class ValidatedMachine:
     default_distribution: FiniteDistribution
     _symbol_matrices: np.ndarray = field(repr=False)
     _stationary_cache: list = field(default_factory=list, repr=False)
+    _step: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # step[i, x * n + j] = T[x, i, j]: one row per state, one column per edge
+        T = self._symbol_matrices
+        object.__setattr__(self, "_step", T.transpose(1, 0, 2).reshape(T.shape[1], -1))
 
     @property
     def n_states(self) -> int:
@@ -119,6 +125,10 @@ class ValidatedMachine:
     def emission_matrix(self) -> np.ndarray:
         """E[i, x] = P(emit symbol x | state i)."""
         return self._symbol_matrices.sum(axis=2).T
+
+    def step_matrix(self) -> np.ndarray:
+        """S[i, x * n + j] = T[x, i, j], the (n, |A|*n) one-symbol step."""
+        return self._step
 
     def state_matrix(self) -> np.ndarray:
         """Symbol-marginalized state transition matrix."""
@@ -160,9 +170,12 @@ class ValidatedMachine:
         return vec
 
     def extend_words(self, vec: np.ndarray) -> np.ndarray:
-        """Lengthen every word of a word-state table A[w, j] by one symbol."""
-        vec = np.einsum("wi,xij->wxj", vec, self._symbol_matrices)
-        return vec.reshape(-1, self.n_states)
+        """Lengthen every word of a word-state table A[w, j] by one symbol.
+
+        Row w * |A| + x of the result is word w followed by symbol x, so
+        word indices stay big-endian.
+        """
+        return (vec @ self._step).reshape(-1, self.n_states)
 
     def per_state_word_distributions(
         self, length: int, block_budget: int | None = None
@@ -170,11 +183,12 @@ class ValidatedMachine:
         """B[i, w] = P(next `length` symbols form word w | state i)."""
         self.check_budget(length, block_budget)
         n = self.n_states
+        a = len(self.alphabet)
+        edges = self._symbol_matrices.reshape(a * n, n)  # row x * n + i
         vec = np.ones((n, 1))
         # build back-to-front so word indices stay big-endian
         for _ in range(length):
-            vec = np.einsum("xij,jw->ixw", self._symbol_matrices, vec)
-            vec = vec.reshape(n, -1)
+            vec = (edges @ vec).reshape(a, n, -1).transpose(1, 0, 2).reshape(n, -1)
         return vec
 
 
@@ -376,13 +390,13 @@ def joint_block_distribution(
         raise ValueError("k must be >= 1")
     m.check_budget(k, block_budget)
     n = m.n_states
-    T = m.symbol_matrices()
-    cur = np.zeros((n, 1, n))
-    pi = m.stationary().probs
-    cur[np.arange(n), 0, np.arange(n)] = pi
+    # row r * |A|^k + w: start in state r, then emit word w
+    cur = np.diag(m.stationary().probs)
     for _ in range(k):
-        cur = np.einsum("rwi,xij->rwxj", cur, T).reshape(n, -1, n)
-    return JointBlockDistribution(m, k, JointTable(("state_in", "word", "state_out"), cur))
+        cur = m.extend_words(cur)
+    return JointBlockDistribution(
+        m, k, JointTable(("state_in", "word", "state_out"), cur.reshape(n, -1, n))
+    )
 
 
 def _cumulative_rows(matrix: np.ndarray) -> list[tuple[list, list]]:
@@ -414,7 +428,7 @@ def sample_path(m: ValidatedMachine, seed: int, n: int):
         raise ValueError("n must be >= 1")
     n_states = m.n_states
     # edge e = x * n_states + j of row i: emit symbol x and move to state j
-    edges = _cumulative_rows(m.symbol_matrices().transpose(1, 0, 2).reshape(n_states, -1))
+    edges = _cumulative_rows(m.step_matrix())
     draws = np.random.default_rng(seed).random(n + 1).tolist()
     state = _draw(_cumulative_rows(m.stationary().probs[None, :])[0], draws[0])
     states = [m.states[state]]

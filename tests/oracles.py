@@ -3,13 +3,17 @@
 Everything here is deliberately dumb: pure-Python dict arithmetic over
 explicit edge products, with the stationary distribution found by power
 iteration. None of it shares code with the package's numpy pipelines, so
-agreement between the two is meaningful evidence.
+agreement between the two is meaningful evidence. The einsum references
+at the end are the sum-of-products forms of the package's matmul
+kernels, kept to check those kernels' index layout.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
+
+import numpy as np
 
 
 def binary_entropy(p: float) -> float:
@@ -175,3 +179,32 @@ def bfs_recurrent_classes(adjacency) -> tuple[set, set]:
     recurrent = [s for s in range(n) if all(s in reach[t] for t in reach[s])]
     classes = {frozenset(reach[s]) for s in recurrent}
     return classes, set(range(n)) - set(recurrent)
+
+
+# ---------------------------------------------------------------------------
+# einsum references for the matmul kernels of ValidatedMachine and
+# joint_block_distribution; T[x, i, j] is the symbol-matrix stack
+
+
+def einsum_extend_words(T, vec):
+    """A[w, i] -> A'[w * |A| + x, j] = sum_i A[w, i] T[x, i, j]."""
+    return np.einsum("wi,xij->wxj", vec, T).reshape(-1, T.shape[1])
+
+
+def einsum_per_state_words(T, length):
+    """B[i, w] = P(next `length` symbols form word w | state i)."""
+    n = T.shape[1]
+    vec = np.ones((n, 1))
+    for _ in range(length):
+        vec = np.einsum("xij,jw->ixw", T, vec).reshape(n, -1)
+    return vec
+
+
+def einsum_joint_block(T, pi, k):
+    """J[r, w, j] = pi[r] P(emit word w and end in j | start in r)."""
+    n = T.shape[1]
+    cur = np.zeros((n, 1, n))
+    cur[np.arange(n), 0, np.arange(n)] = pi
+    for _ in range(k):
+        cur = np.einsum("rwi,xij->rwxj", cur, T).reshape(n, -1, n)
+    return cur

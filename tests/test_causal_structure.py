@@ -148,6 +148,24 @@ class TestRefinement:
         with pytest.raises(KernelError, match="no rule covers"):
             refine_memory(pc_causal, partial)
 
+    def test_previous_state_kernel_on_state_without_in_edges(self):
+        # S is entered from nowhere; A and B form the recurrent chain
+        spec = MachineSpec(
+            Alphabet(("0", "1")),
+            ("S", "A", "B"),
+            (
+                Transition("S", "0", 0.5, "A"),
+                Transition("S", "1", 0.5, "B"),
+                Transition("A", "0", 1.0, "B"),
+                Transition("B", "1", 1.0, "A"),
+            ),
+        )
+        c = minimize_to_causal(validate_machine(spec))
+        assert c.machine.transient_states == ("S",)
+        mem = refine_memory(c, previous_state_kernel(c))
+        assert mem.kernel.sub_states["S"] == ("S",)
+        assert check_prescience(mem.machine, mem.causal_map, c)
+
     def test_duplicate_sub_labels_rejected(self, pc_causal):
         kernel = identity_kernel(pc_causal)
         clash = type(kernel)(

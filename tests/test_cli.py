@@ -320,7 +320,41 @@ def _bad_p(tmp_path):
     return _machine_file(tmp_path, transitions=data["transitions"])
 
 
+def _memory_file(tmp_path, data):
+    path = tmp_path / "memory.json"
+    path.write_text(json.dumps(data))
+    return ["costs", _machine_file(tmp_path), "--memory", str(path), "-k", "1"]
+
+
+R_RULE = {"target": "R", "p": {"R": 1.0}}
+
+
+def _kernel(tmp_path, **changes):
+    data = {
+        "kind": "kernel",
+        "sub_states": {"L": ["L"], "R": ["R"]},
+        "rules": [{"target": "L", "p": {"L": 1.0}}, R_RULE],
+    }
+    return _memory_file(tmp_path, {**data, **changes})
+
+
+def _explicit_memory(tmp_path, causal_map):
+    machine = machine_to_dict(validate_machine(perturbed_coin(0.9)))
+    return _memory_file(
+        tmp_path, {"kind": "machine", "machine": machine, "causal_map": causal_map}
+    )
+
+
 MALFORMED = {
+    "kernel-sub-states-string": lambda t: _kernel(t, sub_states="AB"),
+    "kernel-sub-states-of-string": lambda t: _kernel(t, sub_states={"L": "L", "R": "R"}),
+    "kernel-rules-object": lambda t: _kernel(t, rules={"target": "L"}),
+    "kernel-p-string": lambda t: _kernel(t, rules=[{"target": "L", "p": {"L": "x"}}, R_RULE]),
+    "kernel-p-bool": lambda t: _kernel(t, rules=[{"target": "L", "p": {"L": True}}, R_RULE]),
+    "kernel-p-list": lambda t: _kernel(t, rules=[{"target": "L", "p": [1.0]}, R_RULE]),
+    "memory-causal-map-list": lambda t: _explicit_memory(t, ["L", "R"]),
+    "simulate-seed-negative": lambda t: ["simulate", _machine_file(t), "-k", "1", "-n", "5",
+                                         "--seed", "-1"],
     "alphabet-number": lambda t: ["analyze", _machine_file(t, alphabet=5)],
     "alphabet-string": lambda t: ["analyze", _machine_file(t, alphabet="LR")],
     "states-string": lambda t: ["analyze", _machine_file(t, states="LR")],

@@ -1,4 +1,6 @@
 import math
+import warnings
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -6,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pattherm import (
+    Alphabet,
     AxisError,
+    BlockTooLargeError,
     DistributionError,
     FiniteDistribution,
     JointTable,
+    MachineSpec,
     NonConvergedWarning,
+    Transition,
     block_entropy,
     conditional_entropy,
     entropy,
@@ -18,7 +24,9 @@ from pattherm import (
     excess_entropy,
     joint_block_distribution,
     mutual_information,
+    validate_machine,
 )
+from pattherm.info_measures import entropy_bits
 
 from .oracles import binary_entropy
 
@@ -120,6 +128,17 @@ def random_joint_3(draw):
     return JointTable(("a", "b", "c"), p)
 
 
+class TestMarginalEntropyMemo:
+    def test_same_float_whatever_the_axis_order(self, gm):
+        t = joint_block_distribution(gm, 3).table
+        for size in (1, 2, 3):
+            for names in permutations(t.axes, size):
+                dropped = tuple(i for i, a in enumerate(t.axes) if a not in names)
+                probs = t.probs.sum(axis=dropped) if dropped else t.probs
+                assert t.entropy(names) == entropy_bits(probs)
+        assert "_entropies" not in repr(t)
+
+
 class TestEntropyCalculusProperties:
     @given(random_joint_3())
     @settings(max_examples=60, deadline=None)
@@ -207,6 +226,44 @@ class TestExcessEntropy:
             e = excess_entropy(even, L_max=12, tol=1e-15, block_budget=2**8)
         assert not e.converged
         assert e.stopped_at == 4  # 2L = 8 is the last affordable block
+
+    def test_block_entropy_takes_budgets_above_the_default(self, even):
+        assert block_entropy(even, 17, block_budget=2**17) > block_entropy(even, 16)
+
+    @pytest.mark.parametrize("case", ["gm", "even", "random20x2"])
+    def test_history_is_the_block_entropy_scan(self, case, request):
+        # the forward pass must give 2H(L) - H(2L) to the last bit and stop
+        # where the per-L computation would be refused
+        budget = 2**8 if case == "even" else None
+        m = request.getfixturevalue(case) if case != "random20x2" else _random_20x2()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergedWarning)
+            e = excess_entropy(m, block_budget=budget)
+        expected = tuple(
+            (L, 2.0 * block_entropy(m, L, budget) - block_entropy(m, 2 * L, budget))
+            for L in range(1, e.stopped_at + 1)
+        )
+        assert e.history == expected
+        if not e.converged:
+            with pytest.raises(BlockTooLargeError):
+                block_entropy(m, 2 * (e.stopped_at + 1), budget)
+
+
+def _random_20x2():
+    rng = np.random.default_rng(20151001)
+    states = [f"s{i}" for i in range(20)]
+    transitions = []
+    for i in range(20):
+        probs = rng.dirichlet(np.ones(2))
+        targets = rng.integers(0, 20, size=2)
+        targets[0] = (i + 1) % 20
+        transitions += [
+            Transition(states[i], str(x), float(probs[x]), states[int(targets[x])])
+            for x in range(2)
+        ]
+    return validate_machine(
+        MachineSpec(Alphabet(("0", "1")), tuple(states), tuple(transitions))
+    )
 
 
 class _nullcontext:

@@ -26,7 +26,13 @@ from pattherm import (
 from pattherm.machines import golden_mean, perturbed_coin
 from pattherm.process_model import _recurrent_classes
 
-from .oracles import bfs_recurrent_classes, power_stationary
+from .oracles import (
+    bfs_recurrent_classes,
+    einsum_extend_words,
+    einsum_joint_block,
+    einsum_per_state_words,
+    power_stationary,
+)
 
 
 class TestValidation:
@@ -323,6 +329,53 @@ class TestRandomMachineProperties:
         assert joint.table.probs.sum() == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(joint.table.probs.sum(axis=(1, 2)), pi, atol=1e-10)
         np.testing.assert_allclose(joint.table.probs.sum(axis=(0, 1)), pi, atol=1e-10)
+
+
+@st.composite
+def random_machine(draw):
+    """Up to 12 states and 2-4 symbols, unifilar or not, strongly connected."""
+    n = draw(st.integers(1, 12))
+    a = draw(st.integers(2, 4))
+    unifilar = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = np.zeros((n, a, n))
+    for i in range(n):
+        targets = rng.integers(0, n, size=a)
+        targets[0] = (i + 1) % n  # a cycle through every state
+        if not unifilar:
+            weights[i] = rng.random((a, n)) < rng.uniform(0.1, 0.6)
+        weights[i, np.arange(a), targets] = 1.0
+        weights[i] *= rng.dirichlet(np.ones(a * n)).reshape(a, n)
+        weights[i] /= weights[i].sum()
+    states = tuple(f"s{i}" for i in range(n))
+    symbols = tuple(str(x) for x in range(a))
+    transitions = tuple(
+        Transition(states[i], symbols[x], float(weights[i, x, j]), states[j])
+        for i, x, j in zip(*np.nonzero(weights))
+    )
+    return validate_machine(MachineSpec(Alphabet(symbols), states, transitions))
+
+
+@given(random_machine(), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_matmul_kernels_match_einsum_oracles(m, length):
+    T = m.symbol_matrices()
+    vec = np.random.default_rng(length).random((5, m.n_states))
+    np.testing.assert_allclose(
+        m.extend_words(vec), einsum_extend_words(T, vec), rtol=0, atol=1e-14
+    )
+    np.testing.assert_allclose(
+        m.per_state_word_distributions(length),
+        einsum_per_state_words(T, length),
+        rtol=0,
+        atol=1e-14,
+    )
+    np.testing.assert_allclose(
+        joint_block_distribution(m, length).table.probs,
+        einsum_joint_block(T, m.stationary().probs, length),
+        rtol=0,
+        atol=1e-14,
+    )
 
 
 @st.composite
