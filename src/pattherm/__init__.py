@@ -27,7 +27,7 @@ from .causal_structure import (
     stochastic_split_kernel,
     synchronization_profile,
 )
-from .cycle_sim import SimConfig, TapeState, WorkLedger, empirical_entropy, run_cycle
+from .cycle_sim import SimConfig, WorkLedger, empirical_entropy, run_cycle
 from .errors import (
     AxisError,
     BlockTooLargeError,

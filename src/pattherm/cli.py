@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .causal_structure import (
     as_causal,
@@ -268,26 +269,31 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except PrescienceViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRESCIENCE
-    except BlockTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BLOCK_BUDGET
-    except UnifilarRequiredError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNIFILAR
-    except (MachineSpecError, KernelError, DistributionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except PatthermError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # one stderr line per warning, without the source location
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr
+        )
+        try:
+            return args.func(args)
+        except PrescienceViolationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PRESCIENCE
+        except BlockTooLargeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BLOCK_BUDGET
+        except UnifilarRequiredError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_UNIFILAR
+        except (MachineSpecError, KernelError, DistributionError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except PatthermError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

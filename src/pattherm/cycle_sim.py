@@ -15,8 +15,10 @@ substream per device, so indeterministic refinements stay private noise.
 from __future__ import annotations
 
 import io
-from collections import Counter, deque
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +26,7 @@ import numpy as np
 from .causal_structure import PrescientMemory
 from .errors import DesynchronizedError, InsufficientDataError
 from .info_measures import FiniteDistribution, entropy_bits
-from .process_model import _cumulative_rows, _draw
+from .process_model import _draws, _sampling_rows, _walk
 from .thermo_costs import BITS, Units, block_work
 
 
@@ -41,37 +43,6 @@ class SimConfig:
             raise ValueError("k must be >= 1")
         if self.n_blocks < 1:
             raise ValueError("n_blocks must be >= 1")
-
-
-@dataclass
-class TapeState:
-    """Bounded view of the tape: the inter-cursor pattern region only.
-
-    Cells left of the extractor cursor hold default symbols after reset;
-    a bounded window of them is retained for inspection, plus counts.
-    """
-
-    capacity: int
-    pattern_cells: deque = field(default_factory=deque)
-    recent_default: deque = field(default_factory=deque)
-    gen_cursor: int = 0
-    ext_cursor: int = 0
-
-    def write(self, symbol: str) -> None:
-        if len(self.pattern_cells) >= self.capacity:
-            raise DesynchronizedError("generator overran the tape window")
-        self.pattern_cells.append(symbol)
-        self.gen_cursor += 1
-
-    def consume(self, default_symbol: str) -> str:
-        if not self.pattern_cells:
-            raise DesynchronizedError("extractor overran the generator cursor")
-        symbol = self.pattern_cells.popleft()
-        self.recent_default.append(default_symbol)
-        if len(self.recent_default) > self.capacity:
-            self.recent_default.popleft()
-        self.ext_cursor += 1
-        return symbol
 
 
 class BlockRecord(NamedTuple):
@@ -202,85 +173,88 @@ def run_cycle(cfg: SimConfig):
     mem = cfg.memory
     machine = mem.machine
     n = machine.n_states
-    alphabet = machine.alphabet
+    a = len(machine.alphabet)
+    states = machine.states
+    symbols = machine.alphabet.symbols
     default = cfg.default_distribution or machine.default_distribution
+    k, n_blocks = cfg.k, cfg.n_blocks
+    n_steps = k * n_blocks
 
-    a = len(alphabet)
-    emit_rows = _cumulative_rows(machine.emission_matrix())
-    # row i * a + x: landing state after emitting symbol x from state i
-    landing_rows = _cumulative_rows(machine.step_matrix().reshape(-1, n))
-    default_row = _cumulative_rows(default.probs[None, :])[0]
+    # node i < n draws a symbol x of state i and moves to node n + i * a + x,
+    # which draws the state that emitting x from i lands in
+    landing_rows = _sampling_rows(machine.step_matrix().reshape(-1, n))
+    rows = [
+        (cum, [n + i * a + x for x in nxt], total)
+        for i, (cum, nxt, total) in enumerate(_sampling_rows(machine.emission_matrix()))
+    ] + landing_rows
 
-    # one batch of uniforms per stream: the same doubles as one call per draw
-    n_draws = cfg.k * cfg.n_blocks + 1
+    # one batch of uniforms per stream; draw t of a stream takes its t-th double
     pattern_u, gen_u, ext_u, reset_u = (
-        iter(np.random.default_rng(s).random(n_draws).tolist())
+        np.random.default_rng(s).random(n_steps + 1)
         for s in np.random.SeedSequence(cfg.seed).spawn(4)
     )
 
     # start synchronized: one causal class, private sub-state draws
     base_pi = mem.base.machine.stationary().probs
-    class0 = _draw(_cumulative_rows(base_pi[None, :])[0], next(pattern_u))
+    class0 = _draws(base_pi, pattern_u[:1])[0]
     class_label = mem.base.machine.states[class0]
-    in_class = np.array([mem.causal_map[s] == class_label for s in machine.states])
+    in_class = np.array([mem.causal_map[s] == class_label for s in states])
     weights = machine.stationary().probs * in_class
     if weights.sum() <= 0.0:
         weights = in_class.astype(float)
-    member_row = _cumulative_rows(weights[None, :])[0]
-    gen_state = _draw(member_row, next(gen_u))
-    ext_state = _draw(member_row, next(ext_u))
+    gen_state, ext_state = _draws(weights, [gen_u[0], ext_u[0]])
 
-    w_tape, diss, w_out = block_work(mem, cfg.k, default, BITS)
+    w_tape, diss, w_out = block_work(mem, k, default, BITS)
     ledger = WorkLedger(
         w_tape_per_block=w_tape,
         w_diss_per_block=diss.eq3,
         w_out_per_block=w_out,
         units=BITS,
+        block_count=n_blocks,
     )
-    tape = TapeState(capacity=cfg.k)
-    records: list[BlockRecord] = []
-    states = machine.states
-    symbols = alphabet.symbols
 
-    for block in range(cfg.n_blocks):
-        gen_before = states[gen_state]
-        ext_before = states[ext_state]
-        block_symbols = []
-        for _ in range(cfg.k):
-            x = _draw(emit_rows[gen_state], next(pattern_u))
-            ledger.state_symbol_counts[(states[gen_state], symbols[x])] += 1
-            ledger.symbol_counts[symbols[x]] += 1
-            tape.write(symbols[x])
-            block_symbols.append(symbols[x])
-            gen_state = _draw(landing_rows[gen_state * a + x], next(gen_u))
-        for _ in range(cfg.k):
-            reset_sym = symbols[_draw(default_row, next(reset_u))]
-            read = tape.consume(reset_sym)
-            ledger.default_counts[reset_sym] += 1
-            row = landing_rows[ext_state * a + alphabet.index(read)]
-            if not row[1]:
+    # the generator needs nothing from the extractor: walk it all at once,
+    # alternating a pattern draw (symbol) and a generator draw (landing state)
+    uniforms = np.empty(2 * n_steps)
+    uniforms[0::2] = pattern_u[1:]
+    uniforms[1::2] = gen_u[1:]
+    path = _walk(rows, rows[gen_state], uniforms.tolist())
+    gen_path = [gen_state] + path[1::2]
+    xs = [(node - n) % a for node in path[0::2]]
+
+    # the extractor reads the tape block by block, checking every step
+    classes = [mem.causal_map[s] for s in states]
+    ext_path = [ext_state]
+    steps = zip(xs, ext_u[1:].tolist())
+    for block, gen_after in enumerate(gen_path[k::k]):
+        for x, u in islice(steps, k):
+            cum, nxt, total = landing_rows[ext_state * a + x]
+            if not nxt:
                 raise DesynchronizedError(
-                    f"extractor in {states[ext_state]!r} cannot read {read!r}"
+                    f"extractor in {states[ext_state]!r} cannot read {symbols[x]!r}"
                 )
-            ext_state = _draw(row, next(ext_u))
-        word = "".join(block_symbols)
-        ledger.word_counts[word] += 1
-        ledger.block_count += 1
-        if mem.causal_map[states[gen_state]] != mem.causal_map[states[ext_state]]:
+            ext_state = nxt[bisect_right(cum, u * total)]
+        if classes[gen_after] != classes[ext_state]:
             raise DesynchronizedError(
-                f"block {block}: generator class "
-                f"{mem.causal_map[states[gen_state]]!r} != extractor class "
-                f"{mem.causal_map[states[ext_state]]!r}"
+                f"block {block}: generator class {classes[gen_after]!r} "
+                f"!= extractor class {classes[ext_state]!r}"
             )
-        records.append(
-            BlockRecord(
-                block_index=block,
-                symbols=word,
-                gen_state_before=gen_before,
-                gen_state_after=states[gen_state],
-                ext_state_before=ext_before,
-                ext_state_after=states[ext_state],
-                battery_balance_bits=ledger.battery_balance(block + 1),
-            )
-        )
+        ext_path.append(ext_state)
+
+    written = [symbols[x] for x in xs]
+    words = ["".join(block) for block in zip(*[iter(written)] * k)]
+    # Counter keeps first-occurrence key order, which fixes the order in
+    # which the plug-in entropies sum
+    ledger.state_symbol_counts = Counter(zip([states[g] for g in gen_path[:-1]], written))
+    ledger.symbol_counts = Counter(written)
+    ledger.word_counts = Counter(words)
+    resets = _draws(default.probs, reset_u[:n_steps])
+    ledger.default_counts = Counter([symbols[r] for r in resets])
+
+    gen_labels = [states[g] for g in gen_path[::k]]
+    ext_labels = [states[e] for e in ext_path]
+    records = list(map(BlockRecord._make, zip(
+        range(n_blocks), words, gen_labels, gen_labels[1:], ext_labels, ext_labels[1:],
+        ledger.battery_balance(np.arange(1, n_blocks + 1)).tolist(),
+    )))
     return SimTrace(records), ledger

@@ -399,22 +399,40 @@ def joint_block_distribution(
     )
 
 
-def _cumulative_rows(matrix: np.ndarray) -> list[tuple[list, list]]:
-    """Per-row (cumulative masses, column indices) over the positive entries.
+def _sampling_rows(matrix: np.ndarray) -> list[tuple[list, list, float]]:
+    """Per-row sampling tables (cumulative masses, columns, total mass).
 
-    The sampling table for `_draw`; an all-zero row gives empty lists.
+    Only positive entries are kept. A uniform u in [0, 1) draws column
+    `nxt[bisect_right(cum, u * total)]`. `nxt` repeats its last column
+    because u * total rounds up to total when total is subnormal, and
+    bisect_right then returns len(cum). An all-zero row gives empty lists.
     """
     rows = []
     for row in matrix:
         idx = np.flatnonzero(row)
-        rows.append((np.cumsum(row[idx]).tolist(), idx.tolist()))
+        cum = np.cumsum(row[idx]).tolist()
+        nxt = idx.tolist()
+        rows.append((cum, nxt + nxt[-1:], cum[-1] if cum else 0.0))
     return rows
 
 
-def _draw(row: tuple[list, list], u: float) -> int:
-    """Column index that a uniform draw `u` in [0, 1) selects from a row."""
-    cum, idx = row
-    return idx[min(bisect_right(cum, u * cum[-1]), len(idx) - 1)]
+def _draws(probs: np.ndarray, uniforms) -> list[int]:
+    """Independent draws of an index of `probs`, one per uniform."""
+    cum, nxt, total = _sampling_rows(probs[None, :])[0]
+    pos = np.searchsorted(cum, np.asarray(uniforms) * total, side="right")
+    return np.asarray(nxt)[pos].tolist()
+
+
+def _walk(rows: list, row: tuple[list, list, float], uniforms: list) -> list[int]:
+    """A chain of draws starting from `row`: each drawn target, which the
+    walk returns in order, indexes `rows` for the row of the next draw."""
+    path = []
+    for u in uniforms:
+        cum, nxt, total = row
+        target = nxt[bisect_right(cum, u * total)]
+        path.append(target)
+        row = rows[target]
+    return path
 
 
 def sample_path(m: ValidatedMachine, seed: int, n: int):
@@ -427,16 +445,15 @@ def sample_path(m: ValidatedMachine, seed: int, n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     n_states = m.n_states
-    # edge e = x * n_states + j of row i: emit symbol x and move to state j
-    edges = _cumulative_rows(m.step_matrix())
-    draws = np.random.default_rng(seed).random(n + 1).tolist()
-    state = _draw(_cumulative_rows(m.stationary().probs[None, :])[0], draws[0])
-    states = [m.states[state]]
-    symbols = []
-    for u in draws[1:]:
-        x, state = divmod(_draw(edges[state], u), n_states)
-        symbols.append(m.alphabet.symbols[x])
-        states.append(m.states[state])
+    # edge e = x * n_states + j of row i: emit symbol x and move to state j,
+    # whose row draws the next edge
+    state_rows = _sampling_rows(m.step_matrix())
+    edge_rows = [state_rows[e % n_states] for e in range(len(m.alphabet) * n_states)]
+    draws = np.random.default_rng(seed).random(n + 1)
+    start = _draws(m.stationary().probs, draws[:1])[0]
+    edges = _walk(edge_rows, state_rows[start], draws[1:].tolist())
+    states = [m.states[start]] + [m.states[e % n_states] for e in edges]
+    symbols = [m.alphabet.symbols[e // n_states] for e in edges]
     return states, symbols
 
 

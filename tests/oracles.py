@@ -5,15 +5,24 @@ explicit edge products, with the stationary distribution found by power
 iteration. None of it shares code with the package's numpy pipelines, so
 agreement between the two is meaningful evidence. The einsum references
 at the end are the sum-of-products forms of the package's matmul
-kernels, kept to check those kernels' index layout.
+kernels, kept to check those kernels' index layout. The per-draw
+samplers at the end are the step-by-step loops that the package's path
+and cycle walks must reproduce draw for draw; they book work through the
+package's `block_work` and ledger types and share nothing else with it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import deque
 from itertools import product
 
 import numpy as np
+
+from pattherm.cycle_sim import BlockRecord, SimTrace, WorkLedger
+from pattherm.errors import DesynchronizedError
+from pattherm.thermo_costs import BITS, block_work
 
 
 def binary_entropy(p: float) -> float:
@@ -208,3 +217,123 @@ def einsum_joint_block(T, pi, k):
     for _ in range(k):
         cur = np.einsum("rwi,xij->rwxj", cur, T).reshape(n, -1, n)
     return cur
+
+
+# ---------------------------------------------------------------------------
+# per-draw references for sample_path and run_cycle: one bisect per draw,
+# each draw taking the next uniform of its stream
+
+
+def _cumulative_rows(matrix):
+    """Per-row (cumulative masses, column indices) over the positive entries."""
+    rows = []
+    for row in matrix:
+        idx = np.flatnonzero(row)
+        rows.append((np.cumsum(row[idx]).tolist(), idx.tolist()))
+    return rows
+
+
+def _draw(row, u):
+    cum, idx = row
+    return idx[min(bisect_right(cum, u * cum[-1]), len(idx) - 1)]
+
+
+def per_draw_path(m, seed, n):
+    """sample_path, one (symbol, next state) edge draw per step."""
+    n_states = m.n_states
+    edges = _cumulative_rows(m.step_matrix())
+    draws = np.random.default_rng(seed).random(n + 1).tolist()
+    state = _draw(_cumulative_rows(m.stationary().probs[None, :])[0], draws[0])
+    states = [m.states[state]]
+    symbols = []
+    for u in draws[1:]:
+        x, state = divmod(_draw(edges[state], u), n_states)
+        symbols.append(m.alphabet.symbols[x])
+        states.append(m.states[state])
+    return states, symbols
+
+
+def per_draw_cycle(cfg):
+    """run_cycle, block by block: k generator steps, then k extractor steps."""
+    mem = cfg.memory
+    machine = mem.machine
+    n = machine.n_states
+    alphabet = machine.alphabet
+    default = cfg.default_distribution or machine.default_distribution
+
+    a = len(alphabet)
+    emit_rows = _cumulative_rows(machine.emission_matrix())
+    landing_rows = _cumulative_rows(machine.step_matrix().reshape(-1, n))
+    default_row = _cumulative_rows(default.probs[None, :])[0]
+
+    n_draws = cfg.k * cfg.n_blocks + 1
+    pattern_u, gen_u, ext_u, reset_u = (
+        iter(np.random.default_rng(s).random(n_draws).tolist())
+        for s in np.random.SeedSequence(cfg.seed).spawn(4)
+    )
+
+    base_pi = mem.base.machine.stationary().probs
+    class0 = _draw(_cumulative_rows(base_pi[None, :])[0], next(pattern_u))
+    class_label = mem.base.machine.states[class0]
+    in_class = np.array([mem.causal_map[s] == class_label for s in machine.states])
+    weights = machine.stationary().probs * in_class
+    if weights.sum() <= 0.0:
+        weights = in_class.astype(float)
+    member_row = _cumulative_rows(weights[None, :])[0]
+    gen_state = _draw(member_row, next(gen_u))
+    ext_state = _draw(member_row, next(ext_u))
+
+    w_tape, diss, w_out = block_work(mem, cfg.k, default, BITS)
+    ledger = WorkLedger(
+        w_tape_per_block=w_tape,
+        w_diss_per_block=diss.eq3,
+        w_out_per_block=w_out,
+        units=BITS,
+    )
+    tape = deque()
+    records = []
+    states = machine.states
+    symbols = alphabet.symbols
+
+    for block in range(cfg.n_blocks):
+        gen_before = states[gen_state]
+        ext_before = states[ext_state]
+        block_symbols = []
+        for _ in range(cfg.k):
+            x = _draw(emit_rows[gen_state], next(pattern_u))
+            ledger.state_symbol_counts[(states[gen_state], symbols[x])] += 1
+            ledger.symbol_counts[symbols[x]] += 1
+            tape.append(symbols[x])
+            block_symbols.append(symbols[x])
+            gen_state = _draw(landing_rows[gen_state * a + x], next(gen_u))
+        for _ in range(cfg.k):
+            reset_sym = symbols[_draw(default_row, next(reset_u))]
+            read = tape.popleft()
+            ledger.default_counts[reset_sym] += 1
+            row = landing_rows[ext_state * a + alphabet.index(read)]
+            if not row[1]:
+                raise DesynchronizedError(
+                    f"extractor in {states[ext_state]!r} cannot read {read!r}"
+                )
+            ext_state = _draw(row, next(ext_u))
+        word = "".join(block_symbols)
+        ledger.word_counts[word] += 1
+        ledger.block_count += 1
+        if mem.causal_map[states[gen_state]] != mem.causal_map[states[ext_state]]:
+            raise DesynchronizedError(
+                f"block {block}: generator class "
+                f"{mem.causal_map[states[gen_state]]!r} != extractor class "
+                f"{mem.causal_map[states[ext_state]]!r}"
+            )
+        records.append(
+            BlockRecord(
+                block_index=block,
+                symbols=word,
+                gen_state_before=gen_before,
+                gen_state_after=states[gen_state],
+                ext_state_before=ext_before,
+                ext_state_after=states[ext_state],
+                battery_balance_bits=ledger.battery_balance(block + 1),
+            )
+        )
+    return SimTrace(records), ledger

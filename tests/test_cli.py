@@ -9,6 +9,7 @@ import pytest
 from pattherm import machine_to_dict, minimize_to_causal, validate_machine
 from pattherm.cli import main
 from pattherm.machines import (
+    even_process,
     fair_coin,
     golden_mean,
     period_two,
@@ -91,6 +92,19 @@ class TestAnalyze:
         assert grab(r"C = ([\d.]+)", out) == 0.0
         assert grab(r"h = ([\d.]+)", out) == 1.0
         assert grab(r"E = ([\d.]+)", out) == 0.0
+
+    def test_non_converged_warning_is_one_line(self, tmp_path, capsys):
+        # the even process synchronizes only asymptotically, so its
+        # excess-entropy scan reaches the word budget unconverged
+        path = tmp_path / "even.json"
+        save_machine_file(validate_machine(even_process()), path)
+        assert main(["analyze", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "NOT converged" in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: excess entropy not converged")
+        assert ".py:" not in lines[0]
 
     def test_bad_row_sum_exits_2_and_names_state(self, tmp_path, capsys):
         data = machine_to_dict(validate_machine(perturbed_coin(0.9)))

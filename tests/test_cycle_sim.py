@@ -1,23 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from pattherm import (
     DesynchronizedError,
     InsufficientDataError,
+    MachineSpec,
     PrescientMemory,
     SimConfig,
+    Transition,
     causal_memory,
     cycle_report,
     empirical_entropy,
     joint_block_distribution,
+    minimize_to_causal,
     run_cycle,
     sample_path,
     stochastic_split_kernel,
     refine_memory,
+    validate_machine,
 )
 
-from .oracles import binary_entropy
+from .oracles import binary_entropy, per_draw_cycle
+from .test_process_model import random_machine
 
 HB9 = binary_entropy(0.9)
 
@@ -147,3 +154,103 @@ class TestRunCycle:
         assert trace.records[-1].battery_balance_bits == pytest.approx(
             -ledger.cumulative_net(), abs=1e-9
         )
+
+
+LEDGER_COUNTS = ("state_symbol_counts", "symbol_counts", "word_counts", "default_counts")
+
+
+def assert_cycle_matches_oracle(cfg):
+    """run_cycle reproduces the per-draw loop: records, tallies in key
+    order, block count, or the same DesynchronizedError."""
+    try:
+        want_trace, want_ledger = per_draw_cycle(cfg)
+    except DesynchronizedError as want:
+        with pytest.raises(DesynchronizedError) as got:
+            run_cycle(cfg)
+        assert type(got.value) is type(want)
+        assert str(got.value) == str(want)
+        return
+    trace, ledger = run_cycle(cfg)
+    assert trace.records == want_trace.records
+    assert trace.csv_text() == want_trace.csv_text()
+    for name in LEDGER_COUNTS:
+        assert list(getattr(ledger, name).items()) == list(getattr(want_ledger, name).items())
+    assert ledger.block_count == want_ledger.block_count == cfg.n_blocks
+
+
+def one_class_memory(m):
+    """A non-unifilar machine as memory, all of it one class of an i.i.d.
+    base, so only the extractor's `cannot read` check can fire.
+
+    Its states do not fix the next k symbols' distribution for k > 1, so
+    `block_work` refuses it (extractor identity) unless k = 1.
+    """
+    a = m.alphabet
+    iid = validate_machine(MachineSpec(
+        a, ("c",), tuple(Transition("c", x, 1.0 / len(a), "c") for x in a.symbols)
+    ))
+    return PrescientMemory(
+        machine=m,
+        base=minimize_to_causal(iid),
+        causal_map={s: "c" for s in m.states},
+        memory_id="one-class",
+    )
+
+
+@st.composite
+def cycle_config(draw):
+    m = draw(st.one_of(random_machine(), random_machine(sparse=True)))
+    if m.unifilar:
+        causal = minimize_to_causal(m)
+        kind = draw(st.sampled_from(["causal", "split", "presentation"]))
+        if kind == "causal":
+            mem = causal_memory(causal)
+        elif kind == "split":
+            mem = refine_memory(causal, stochastic_split_kernel(causal))
+        else:
+            mem = PrescientMemory(
+                machine=m, base=causal, causal_map=dict(causal.projection),
+                memory_id="presentation",
+            )
+        pairs = [(s, t) for s in mem.machine.states for t in mem.machine.states
+                 if mem.causal_map[s] < mem.causal_map[t]]
+        if pairs and draw(st.booleans()):
+            # swap two memory states' classes, as a corrupted map would
+            s, t = draw(st.sampled_from(pairs))
+            mem = PrescientMemory(
+                machine=mem.machine, base=mem.base,
+                causal_map={**mem.causal_map, s: mem.causal_map[t], t: mem.causal_map[s]},
+                memory_id="corrupted",
+            )
+    else:
+        mem = one_class_memory(m)
+    return SimConfig(
+        memory=mem,
+        k=draw(st.integers(1, 4)) if m.unifilar else 1,
+        n_blocks=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@given(cycle_config())
+@settings(max_examples=80, deadline=None)
+def test_run_cycle_matches_per_draw_oracle(cfg):
+    assert_cycle_matches_oracle(cfg)
+
+
+def test_oracle_match_on_fixture_memories(pc_memories, gm_causal):
+    honest = pc_memories["split50"]
+    corrupted = PrescientMemory(
+        machine=honest.machine,
+        base=honest.base,
+        causal_map={**honest.causal_map, "L~1": "R"},
+        memory_id="corrupted",
+    )
+    for mem, k, n_blocks, seed in [
+        (pc_memories["causal"], 1, 500, 0),
+        (pc_memories["last-two"], 2, 300, 6),
+        (honest, 4, 200, 3),
+        (causal_memory(gm_causal), 3, 300, 7),
+        (corrupted, 1, 200, 1),
+    ]:
+        assert_cycle_matches_oracle(SimConfig(memory=mem, k=k, n_blocks=n_blocks, seed=seed))

@@ -24,13 +24,14 @@ from pattherm import (
     validate_machine,
 )
 from pattherm.machines import golden_mean, perturbed_coin
-from pattherm.process_model import _recurrent_classes
+from pattherm.process_model import _draws, _recurrent_classes, _sampling_rows, _walk
 
 from .oracles import (
     bfs_recurrent_classes,
     einsum_extend_words,
     einsum_joint_block,
     einsum_per_state_words,
+    per_draw_path,
     power_stationary,
 )
 
@@ -332,19 +333,24 @@ class TestRandomMachineProperties:
 
 
 @st.composite
-def random_machine(draw):
-    """Up to 12 states and 2-4 symbols, unifilar or not, strongly connected."""
+def random_machine(draw, sparse=False):
+    """Up to 12 states and 2-4 symbols, unifilar or not, strongly connected.
+
+    With `sparse`, each state emits a random nonempty subset of the
+    alphabet, so rows have zero columns and some symbols are forbidden.
+    """
     n = draw(st.integers(1, 12))
     a = draw(st.integers(2, 4))
     unifilar = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weights = np.zeros((n, a, n))
     for i in range(n):
-        targets = rng.integers(0, n, size=a)
+        emitted = rng.permutation(a)[: rng.integers(1, a + 1)] if sparse else np.arange(a)
+        targets = rng.integers(0, n, size=len(emitted))
         targets[0] = (i + 1) % n  # a cycle through every state
         if not unifilar:
-            weights[i] = rng.random((a, n)) < rng.uniform(0.1, 0.6)
-        weights[i, np.arange(a), targets] = 1.0
+            weights[i, emitted] = rng.random((len(emitted), n)) < rng.uniform(0.1, 0.6)
+        weights[i, emitted, targets] = 1.0
         weights[i] *= rng.dirichlet(np.ones(a * n)).reshape(a, n)
         weights[i] /= weights[i].sum()
     states = tuple(f"s{i}" for i in range(n))
@@ -376,6 +382,27 @@ def test_matmul_kernels_match_einsum_oracles(m, length):
         rtol=0,
         atol=1e-14,
     )
+
+
+@given(
+    st.one_of(random_machine(), random_machine(sparse=True)),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 200),
+)
+@settings(max_examples=60, deadline=None)
+def test_sample_path_matches_per_draw_oracle(m, seed, n):
+    assert sample_path(m, seed, n) == per_draw_path(m, seed, n)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-320])
+def test_draw_at_top_of_unit_interval_takes_last_positive_column(scale):
+    # u * total rounds up to total when total is subnormal, and bisect_right
+    # then points one past the last positive column
+    row = np.array([0.25, 0.0, 0.75, 0.0]) * scale
+    rows = _sampling_rows(np.tile(row, (4, 1)))
+    u = float(np.nextafter(1.0, 0.0))
+    assert _walk(rows, rows[0], [u, u]) == [2, 2]
+    assert _draws(row, [u]) == [2]
 
 
 @st.composite
