@@ -14,12 +14,12 @@ from .causal_structure import (
     as_causal,
     causal_memory,
     check_determinism,
-    check_prescience,
     identity_kernel,
     load_memory_file,
     minimize_to_causal,
     parity_kernel,
     parse_kernel,
+    prescience_gap,
     previous_state_kernel,
     random_kernel,
     refine_memory,

@@ -1,8 +1,8 @@
 """Causal states, prescient refinements, and their verification.
 
 Minimization merges states of a unifilar presentation that predict the
-same future (Moore-style partition refinement), yielding the unique
-minimal presentation whose state entropy is the statistical complexity.
+same future, yielding the unique minimal presentation whose state
+entropy is the statistical complexity.
 Refinements go the other way: a kernel splits each causal state into
 sub-states, possibly stochastically and conditioned on the incoming
 transition, producing a larger memory that predicts exactly as well.
@@ -24,6 +24,7 @@ from .errors import (
 )
 from .info_measures import entropy_bits
 from .process_model import (
+    FUTURE_TOL,
     MachineSpec,
     Transition,
     ValidatedMachine,
@@ -31,7 +32,6 @@ from .process_model import (
     validate_machine,
 )
 
-EMISSION_TOL = 1e-9  # state-distribution equality during merging
 KERNEL_ROW_TOL = 1e-12
 DETERMINISM_TOL = 1e-9
 SYNC_TOL = 1e-9
@@ -66,10 +66,10 @@ def as_causal(m) -> CausalMachine:
 def minimize_to_causal(m: ValidatedMachine) -> CausalMachine:
     """Merge states with identical future morphs; idempotent.
 
-    Partition refinement: start from blocks of equal next-symbol
-    distributions (tolerance 1e-9), then split blocks whose members map a
-    symbol to different blocks, until stable. Block order (and merged
-    state labels) follow the first member in input order.
+    States i and j merge iff their rows of the future span agree within
+    FUTURE_TOL, that is, iff every word is as likely from i as from j.
+    Block order (and merged state labels) follow the first member in
+    input order.
     """
     if not m.unifilar:
         raise UnifilarRequiredError(
@@ -86,32 +86,12 @@ def minimize_to_causal(m: ValidatedMachine) -> CausalMachine:
             if T[x, i, j] > 0.0:
                 succ[i, x] = j
 
-    block_of = np.full(n, -1, dtype=int)
-    reps: list[int] = []
-    for i in range(n):
-        for b, rep in enumerate(reps):
-            if np.abs(E[i] - E[rep]).max() <= EMISSION_TOL:
-                block_of[i] = b
-                break
-        else:
-            block_of[i] = len(reps)
-            reps.append(i)
-
-    while True:
-        signatures = {}
-        new_block_of = np.full(n, -1, dtype=int)
-        order = 0
-        for i in range(n):
-            sig = (block_of[i],) + tuple(
-                block_of[succ[i, x]] if succ[i, x] >= 0 else -1 for x in range(a)
-            )
-            if sig not in signatures:
-                signatures[sig] = order
-                order += 1
-            new_block_of[i] = signatures[sig]
-        if np.array_equal(new_block_of, block_of):
-            break
-        block_of = new_block_of
+    apart = np.zeros((n, n))  # max over span words of |P(w | i) - P(w | j)|
+    for f in m.future_span().T:
+        np.maximum(apart, np.abs(f[:, None] - f[None, :]), out=apart)
+    first = (apart <= FUTURE_TOL).argmax(axis=1).tolist()  # lowest-indexed equal
+    order: dict[int, int] = {}
+    block_of = np.array([order.setdefault(f, len(order)) for f in first])
 
     n_blocks = block_of.max() + 1
     members = [np.flatnonzero(block_of == b) for b in range(n_blocks)]
@@ -248,17 +228,13 @@ def _validate_kernel(c: CausalMachine, kernel: RefinementKernel) -> None:
             raise KernelError(f"rule for {rule.target!r} has negative probability")
 
 
-def refine_memory(
-    c: CausalMachine,
-    kernel: RefinementKernel,
-    check_horizon: int = 4,
-) -> PrescientMemory:
+def refine_memory(c: CausalMachine, kernel: RefinementKernel) -> PrescientMemory:
     """Fine-grain the causal states according to a kernel.
 
     The resulting memory machine emits exactly like its base (so it stays
     prescient by construction) while the landing sub-state inside the
     entered causal state is drawn from the matching kernel rule. The
-    construction is verified with check_prescience up to `check_horizon`.
+    construction is verified with prescience_gap.
     """
     _validate_kernel(c, kernel)
     machine = c.machine
@@ -303,12 +279,12 @@ def refine_memory(
         memory_id=kernel.name,
         kernel=kernel,
     )
-    report = check_prescience(refined, class_of, c, L=check_horizon)
-    if not report:
+    gap = prescience_gap(refined, class_of, c)
+    if gap > FUTURE_TOL:
         raise PrescienceViolationError(
             f"refinement {kernel.name!r} deviates from its causal morphs by "
-            f"{report.max_deviation:.3e}",
-            deviation=report.max_deviation,
+            f"{gap:.3e}",
+            deviation=gap,
         )
     return memory
 
@@ -425,42 +401,27 @@ def random_kernel(
 # verification
 
 
-@dataclass(frozen=True)
-class PrescienceReport:
-    ok: bool
-    max_deviation: float
-    horizon: int
+def prescience_gap(
+    machine: ValidatedMachine, causal_map: dict[str, str], base: CausalMachine
+) -> float:
+    """How far a memory's futures stray from its causal classes' futures.
 
-    def __bool__(self):
-        return self.ok
-
-
-def check_prescience(
-    machine: ValidatedMachine,
-    causal_map: dict[str, str],
-    base: CausalMachine,
-    L: int = 4,
-    tol: float = 1e-9,
-    block_budget: int | None = None,
-) -> PrescienceReport:
-    """Compare each state's length-L future word distribution to its class's.
-
-    Total-variation deviation above `tol` for any state fails the check.
+    With B the base's future span and M the 0/1 memory-state -> class
+    map, the gap is max_x |T_mem[x] @ (M B) - M (T_base[x] @ B)|. It is 0
+    iff every memory state gives every word its class's probability: by
+    induction on word length, since B spans every base word's column.
     """
     if machine.alphabet.symbols != base.machine.alphabet.symbols:
         raise MachineSpecError("candidate and causal alphabets differ")
     missing = set(machine.states) - set(causal_map)
     if missing:
         raise MachineSpecError(f"states missing from causal map: {sorted(missing)}")
-    cand = machine.per_state_word_distributions(L, block_budget)
-    ref = base.machine.per_state_word_distributions(L, block_budget)
-    worst = 0.0
-    for i, u in enumerate(machine.states):
-        s = causal_map[u]
-        j = base.machine.state_index(s)
-        dev = 0.5 * float(np.abs(cand[i] - ref[j]).sum())
-        worst = max(worst, dev)
-    return PrescienceReport(ok=worst <= tol, max_deviation=worst, horizon=L)
+    B = base.machine.future_span()
+    classes = [base.machine.state_index(causal_map[u]) for u in machine.states]
+    return max(
+        float(np.abs(t_mem @ B[classes] - (t_base @ B)[classes]).max())
+        for t_mem, t_base in zip(machine.symbol_matrices(), base.machine.symbol_matrices())
+    )
 
 
 @dataclass(frozen=True)
@@ -598,12 +559,11 @@ def parse_memory_machine(data: dict, base: CausalMachine, name: str) -> Prescien
         raise KernelError(
             f"causal_map targets unknown causal states {sorted(unknown_targets)!r}"
         )
-    report = check_prescience(machine, causal_map, base)
-    if not report:
+    gap = prescience_gap(machine, causal_map, base)
+    if gap > FUTURE_TOL:
         raise PrescienceViolationError(
-            f"memory machine deviates from causal morphs by "
-            f"{report.max_deviation:.3e}",
-            deviation=report.max_deviation,
+            f"memory machine deviates from causal morphs by {gap:.3e}",
+            deviation=gap,
         )
     return PrescientMemory(
         machine=machine,

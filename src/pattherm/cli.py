@@ -76,10 +76,18 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    """argparse type for temperatures and tolerances: a finite float > 0."""
+    value = float(text)
+    if not (0.0 < value < float("inf")):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text}")
+    return value
+
+
 def _add_units_flags(p):
     p.add_argument("--units", choices=("bits", "kT"), default="bits",
                    help="output units: bits, or joules at temperature T")
-    p.add_argument("--temperature", type=float, default=None,
+    p.add_argument("--temperature", type=positive_float, default=None,
                    help="temperature in kelvin (required with --units=kT)")
 
 
@@ -220,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("machine", help="machine JSON file")
     p.add_argument("--emax", type=positive_int, default=12,
                    help="max block length for excess-entropy convergence")
-    p.add_argument("--etol", type=float, default=1e-9,
+    p.add_argument("--etol", type=positive_float, default=1e-9,
                    help="excess-entropy convergence tolerance")
     p.add_argument("--sync-depth", type=positive_int, default=6,
                    help="synchronization profile depth")

@@ -32,6 +32,7 @@ from .info_measures import FiniteDistribution, JointTable, entropy_bits, uniform
 
 ROW_TOL = 1e-12
 DEFAULT_BLOCK_BUDGET = 1 << 16  # max number of words in any block enumeration
+FUTURE_TOL = 1e-9  # word-probability agreement that counts as the same future
 
 
 @dataclass(frozen=True)
@@ -177,19 +178,45 @@ class ValidatedMachine:
         """
         return (vec @ self._step).reshape(-1, self.n_states)
 
-    def per_state_word_distributions(
-        self, length: int, block_budget: int | None = None
-    ) -> np.ndarray:
-        """B[i, w] = P(next `length` symbols form word w | state i)."""
-        self.check_budget(length, block_budget)
+    def future_span(self) -> np.ndarray:
+        """F[i, c] = P(next symbols form word w_c | state i), for words w_c
+        whose columns span the column of every word.
+
+        Breadth-first over words from the empty word, the all-ones
+        column; each level prepends every symbol to the words the last
+        level kept, f -> T[x] @ f. A word is kept only if its column
+        leaves the span of the columns kept before it by more than
+        FUTURE_TOL, so at most n words are kept and no length bound is
+        needed (Schutzenberger 1961; Tzeng 1992).
+        """
+        T = self._symbol_matrices
         n = self.n_states
-        a = len(self.alphabet)
-        edges = self._symbol_matrices.reshape(a * n, n)  # row x * n + i
-        vec = np.ones((n, 1))
-        # build back-to-front so word indices stay big-endian
-        for _ in range(length):
-            vec = (edges @ vec).reshape(a, n, -1).transpose(1, 0, 2).reshape(n, -1)
-        return vec
+        basis = np.zeros((n, n))  # orthonormal basis of the kept columns, zero-padded
+        kept: list[np.ndarray] = []
+        level = np.ones((n, 1))
+        while True:
+            grown = []
+            residual = _residual(basis, level)
+            for j in np.flatnonzero(np.linalg.norm(residual, axis=0) > FUTURE_TOL):
+                # words of one level can share a new direction
+                r = _residual(basis, residual[:, j])
+                norm = float(np.linalg.norm(r))
+                if norm > FUTURE_TOL:
+                    basis[:, len(kept) + len(grown)] = r / norm
+                    grown.append(level[:, j])
+            if not grown:
+                return np.column_stack(kept)
+            kept += grown
+            # column g * |A| + x prepends symbol x to grown word g
+            level = (T @ np.column_stack(grown)).transpose(1, 2, 0).reshape(n, -1)
+
+
+def _residual(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v less its projection on the orthonormal columns of `basis`, taken
+    twice because one pass leaves rounding-size overlap."""
+    for _ in range(2):
+        v = v - basis @ (basis.T @ v)
+    return v
 
 
 @dataclass(frozen=True)

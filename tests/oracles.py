@@ -3,7 +3,9 @@
 Everything here is deliberately dumb: pure-Python dict arithmetic over
 explicit edge products, with the stationary distribution found by power
 iteration. None of it shares code with the package's numpy pipelines, so
-agreement between the two is meaningful evidence. The einsum references
+agreement between the two is meaningful evidence. `moore_partition` is
+the Moore refinement that `minimize_to_causal`'s future-span grouping
+must reproduce block for block. The einsum references
 at the end are the sum-of-products forms of the package's matmul
 kernels, kept to check those kernels' index layout. The per-draw
 samplers at the end are the step-by-step loops that the package's path
@@ -101,17 +103,23 @@ def brute_dissipation(machine, k: int) -> tuple[float, float, float]:
 
 
 def brute_word_distribution(machine, state: str, L: int) -> dict:
-    """word -> probability of emitting it when started in `state`."""
+    """word -> probability of emitting it when started in `state`.
+
+    Paths are pooled by (current state, word so far) after every symbol,
+    so the work grows with the number of such pairs, not of paths.
+    """
     edges = edges_by_state(machine)
+    frontier = {(state, ""): 1.0}
+    for _ in range(L):
+        nxt: dict = {}
+        for (s, word), p in frontier.items():
+            for tr in edges[s]:
+                key = (tr.to, word + tr.symbol)
+                nxt[key] = nxt.get(key, 0.0) + p * tr.p
+        frontier = nxt
     out: dict = {}
-    stack = [(state, "", 1.0)]
-    while stack:
-        s, word, p = stack.pop()
-        if len(word) == L:
-            out[word] = out.get(word, 0.0) + p
-            continue
-        for tr in edges[s]:
-            stack.append((tr.to, word + tr.symbol, p * tr.p))
+    for (_, word), p in frontier.items():
+        out[word] = out.get(word, 0.0) + p
     return out
 
 
@@ -167,6 +175,51 @@ def brute_block_entropy(machine, L: int) -> float:
     return dict_entropy(words)
 
 
+def moore_partition(machine, tol: float = 1e-9) -> dict:
+    """state -> first member of its block under Moore refinement.
+
+    Blocks start as groups of equal next-symbol distributions (within
+    `tol`), then split while members send one symbol to different
+    blocks: the classical minimization of a unifilar machine. Blocks are
+    numbered by first member.
+    """
+    n = machine.n_states
+    a = len(machine.alphabet)
+    E = machine.emission_matrix()
+    T = machine.symbol_matrices()
+    succ = [[-1] * a for _ in range(n)]
+    for x in range(a):
+        for i in range(n):
+            j = int(np.argmax(T[x, i]))
+            if T[x, i, j] > 0.0:
+                succ[i][x] = j
+    block_of = []
+    reps: list[int] = []
+    for i in range(n):
+        for b, rep in enumerate(reps):
+            if np.abs(E[i] - E[rep]).max() <= tol:
+                block_of.append(b)
+                break
+        else:
+            block_of.append(len(reps))
+            reps.append(i)
+    while True:
+        signatures: dict = {}
+        new_block_of = []
+        for i in range(n):
+            sig = (block_of[i],) + tuple(
+                block_of[j] if j >= 0 else -1 for j in succ[i]
+            )
+            new_block_of.append(signatures.setdefault(sig, len(signatures)))
+        if new_block_of == block_of:
+            break
+        block_of = new_block_of
+    first = {}
+    for i, b in enumerate(block_of):
+        first.setdefault(b, machine.states[i])
+    return {machine.states[i]: first[b] for i, b in enumerate(block_of)}
+
+
 def bfs_recurrent_classes(adjacency) -> tuple[set, set]:
     """(recurrent classes as frozensets, transient states) of a 0/1 graph.
 
@@ -198,15 +251,6 @@ def bfs_recurrent_classes(adjacency) -> tuple[set, set]:
 def einsum_extend_words(T, vec):
     """A[w, i] -> A'[w * |A| + x, j] = sum_i A[w, i] T[x, i, j]."""
     return np.einsum("wi,xij->wxj", vec, T).reshape(-1, T.shape[1])
-
-
-def einsum_per_state_words(T, length):
-    """B[i, w] = P(next `length` symbols form word w | state i)."""
-    n = T.shape[1]
-    vec = np.ones((n, 1))
-    for _ in range(length):
-        vec = np.einsum("xij,jw->ixw", T, vec).reshape(n, -1)
-    return vec
 
 
 def einsum_joint_block(T, pi, k):

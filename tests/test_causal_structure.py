@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pattherm import (
     Alphabet,
@@ -13,12 +15,12 @@ from pattherm import (
     UnifilarRequiredError,
     causal_memory,
     check_determinism,
-    check_prescience,
     conditional_entropy,
     identity_kernel,
     joint_block_distribution,
     minimize_to_causal,
     parity_kernel,
+    prescience_gap,
     previous_state_kernel,
     random_kernel,
     refine_memory,
@@ -27,18 +29,84 @@ from pattherm import (
     synchronization_profile,
     validate_machine,
 )
-from pattherm.causal_structure import load_memory_file, parse_kernel
+from pattherm.causal_structure import CausalMachine, load_memory_file, parse_kernel
+from pattherm.cli import main
 from pattherm.info_measures import entropy_bits
-from pattherm.process_model import machine_to_dict
+from pattherm.process_model import FUTURE_TOL, machine_to_dict
 
 from .oracles import (
     bayes_sync_residual,
     binary_entropy,
     brute_word_distribution,
+    moore_partition,
     total_variation,
 )
 
 HB9 = binary_entropy(0.9)
+
+
+def cycle_machine(pattern: str, prefix: str = "Q"):
+    """The period-len(pattern) cycle: state i emits pattern[i] and moves on."""
+    states = tuple(f"{prefix}{i}" for i in range(len(pattern)))
+    transitions = tuple(
+        Transition(s, x, 1.0, states[(i + 1) % len(states)])
+        for i, (s, x) in enumerate(zip(states, pattern))
+    )
+    return validate_machine(MachineSpec(Alphabet(("0", "1")), states, transitions))
+
+
+@st.composite
+def coarse_unifilar(draw, max_states=6):
+    """Unifilar and strongly connected, with transition probabilities from
+    a coarse grid, so that states with equal emissions but different
+    futures are common."""
+    n = draw(st.integers(1, max_states))
+    a = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    transitions = []
+    for i in range(n):
+        emitted = rng.permutation(a)[: rng.integers(1, a + 1)]
+        weights = rng.integers(1, 3, size=len(emitted))
+        targets = rng.integers(0, n, size=len(emitted))
+        targets[0] = (i + 1) % n  # a cycle through every state
+        for x, w, j in zip(emitted, weights, targets):
+            transitions.append(Transition(f"s{i}", str(x), w / weights.sum(), f"s{j}"))
+    symbols = tuple(str(x) for x in range(a))
+    states = tuple(f"s{i}" for i in range(n))
+    return validate_machine(MachineSpec(Alphabet(symbols), states, tuple(transitions)))
+
+
+cycles = st.text(alphabet="01", min_size=1, max_size=9).map(cycle_machine)
+
+
+@st.composite
+def with_redundant_copies(draw, machines):
+    """Copies of random states: each copy has its original's out-edges and
+    takes over some of its in-edges. The states are then shuffled."""
+    m = draw(machines)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = list(m.states)
+    transitions = list(m.transitions)
+    for _ in range(draw(st.integers(0, 3))):
+        s = states[rng.integers(len(states))]
+        copy = f"c{len(states)}"
+        transitions = [
+            tr._replace(to=copy) if tr.to == s and rng.random() < 0.5 else tr
+            for tr in transitions
+        ] + [tr._replace(frm=copy) for tr in transitions if tr.frm == s]
+        states.append(copy)
+    shuffled = tuple(states[i] for i in rng.permutation(len(states)))
+    return validate_machine(MachineSpec(m.alphabet, shuffled, tuple(transitions)))
+
+
+def period_seven_witness():
+    """(memory, causal map, base): the period-7 cycle read as the period-6
+    one, P0, P1, P2 -> Q0, then P3..P6 -> Q2..Q5. Every word up to
+    length 4 gets its class's probability."""
+    causal_map = {"P0": "Q0", "P1": "Q0", "P2": "Q0", "P3": "Q2", "P4": "Q3", "P5": "Q4",
+                  "P6": "Q5"}
+    base = minimize_to_causal(cycle_machine("000001"))
+    return cycle_machine("0000001", prefix="P"), causal_map, base
 
 
 class TestMinimization:
@@ -88,6 +156,12 @@ class TestMinimization:
         c = minimize_to_causal(pc_redundant)
         h_pres = pc_redundant.stationary().entropy()
         assert statistical_complexity(c) <= h_pres + 1e-12
+
+    @given(with_redundant_copies(st.one_of(coarse_unifilar(), cycles)))
+    @example(cycle_machine("0000001"))
+    @settings(max_examples=120, deadline=None)
+    def test_projection_matches_moore_oracle(self, m):
+        assert minimize_to_causal(m).projection == moore_partition(m)
 
 
 class TestRefinement:
@@ -164,7 +238,7 @@ class TestRefinement:
         assert c.machine.transient_states == ("S",)
         mem = refine_memory(c, previous_state_kernel(c))
         assert mem.kernel.sub_states["S"] == ("S",)
-        assert check_prescience(mem.machine, mem.causal_map, c)
+        assert prescience_gap(mem.machine, mem.causal_map, c) <= FUTURE_TOL
 
     def test_duplicate_sub_labels_rejected(self, pc_causal):
         kernel = identity_kernel(pc_causal)
@@ -199,22 +273,18 @@ class TestRefinement:
         for causal in (pc_causal, gm_causal):
             for trial in range(10):
                 mem = refine_memory(causal, random_kernel(causal, rng, f"r{trial}"))
-                report = check_prescience(
-                    mem.machine, mem.causal_map, causal, L=5
-                )
-                assert report.ok, report
+                gap = prescience_gap(mem.machine, mem.causal_map, causal)
+                assert gap <= FUTURE_TOL, gap
 
 
 class TestPrescienceCheck:
     def test_identity_map_exact(self, gm_causal):
         mem = causal_memory(gm_causal)
-        report = check_prescience(mem.machine, mem.causal_map, gm_causal, L=4)
-        assert report.ok and report.max_deviation == 0.0
+        assert prescience_gap(mem.machine, mem.causal_map, gm_causal) == 0.0
 
     def test_last_two_memory_by_enumeration(self, pc_memories, pc_causal):
         mem = pc_memories["last-two"]
-        report = check_prescience(mem.machine, mem.causal_map, pc_causal, L=3)
-        assert report.ok
+        assert prescience_gap(mem.machine, mem.causal_map, pc_causal) <= FUTURE_TOL
         # oracle: explicit depth-3 word enumeration per sub-state
         for u in mem.machine.states:
             got = brute_word_distribution(mem.machine, u, 3)
@@ -232,10 +302,57 @@ class TestPrescienceCheck:
                 ),
             )
         )
-        report = check_prescience(merged, {"M": "B"}, gm_causal, L=1)
-        assert not report.ok
+        gap = prescience_gap(merged, {"M": "B"}, gm_causal)
         # B forbids "0"; the merged state emits it with probability 1/3
-        assert report.max_deviation >= 1.0 / 3.0 - 1e-12
+        assert gap >= 1.0 / 3.0 - 1e-12
+
+    def test_period_seven_witness_rejected(self):
+        # agrees with its classes on every word up to length 4, not on "00001"
+        assert prescience_gap(*period_seven_witness()) >= 1.0 - 1e-12
+
+    def test_period_seven_witness_exits_3(self, tmp_path, capsys):
+        memory, causal_map, base = period_seven_witness()
+        base_path = tmp_path / "p6.json"
+        base_path.write_text(json.dumps(machine_to_dict(base.machine)))
+        memory_path = tmp_path / "p7_as_p6.json"
+        memory_path.write_text(json.dumps(
+            {"kind": "machine", "machine": machine_to_dict(memory), "causal_map": causal_map}
+        ))
+        assert main(["costs", str(base_path), "--memory", str(memory_path), "-k", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    @given(
+        st.one_of(coarse_unifilar(max_states=2), cycles),
+        st.integers(0, 2**32 - 1),
+        st.none() | st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    )
+    # Q0 and Q1 first differ on words of length 7; a span cut after
+    # length-4 words lets the gap see only up to length 5
+    @example(cycle_machine("00000001"), 0, (0, 1))
+    @settings(max_examples=80, deadline=None)
+    def test_gap_zero_iff_words_agree_to_tzeng_bound(self, m, seed, swap):
+        """A random-kernel memory, and the same memory with two classes
+        swapped in its causal map. Tzeng's bound: if every word up to
+        length n_mem + n_base - 1 agrees, every word agrees. The gap does
+        not need a minimal base, so the base is not minimized here."""
+        base = CausalMachine(machine=m, projection={s: s for s in m.states})
+        mem = refine_memory(base, random_kernel(base, np.random.default_rng(seed)))
+        causal_map = dict(mem.causal_map)
+        if swap is not None:
+            states = base.machine.states
+            a, b = (states[i % len(states)] for i in swap)
+            causal_map = {u: {a: b, b: a}.get(s, s) for u, s in causal_map.items()}
+        length = mem.machine.n_states + base.machine.n_states - 1
+        deviation = 0.0
+        for u in mem.machine.states:
+            got = brute_word_distribution(mem.machine, u, length)
+            want = brute_word_distribution(base.machine, causal_map[u], length)
+            for w in set(got) | set(want):
+                deviation = max(deviation, abs(got.get(w, 0.0) - want.get(w, 0.0)))
+        gap = prescience_gap(mem.machine, causal_map, base)
+        assert (gap <= FUTURE_TOL) == (deviation <= FUTURE_TOL), (gap, deviation)
 
 
 class TestDeterminismCheck:

@@ -378,6 +378,14 @@ MALFORMED = {
     "simulate-n0": lambda t: ["simulate", _machine_file(t), "-k", "1", "-n", "0"],
     "analyze-emax0": lambda t: ["analyze", _machine_file(t), "--emax", "0"],
     "analyze-sync-depth0": lambda t: ["analyze", _machine_file(t), "--sync-depth", "0"],
+    "costs-temperature-negative": lambda t: ["costs", _machine_file(t), "-k", "1", "--units", "kT",
+                                             "--temperature", "-1"],
+    "costs-temperature-zero": lambda t: ["costs", _machine_file(t), "-k", "1", "--units", "kT",
+                                         "--temperature", "0"],
+    "costs-temperature-nan": lambda t: ["costs", _machine_file(t), "-k", "1", "--units", "kT",
+                                        "--temperature", "nan"],
+    "analyze-etol-negative": lambda t: ["analyze", _machine_file(t), "--etol", "-1"],
+    "analyze-etol-nan": lambda t: ["analyze", _machine_file(t), "--etol", "nan"],
 }
 
 

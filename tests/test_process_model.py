@@ -30,7 +30,6 @@ from .oracles import (
     bfs_recurrent_classes,
     einsum_extend_words,
     einsum_joint_block,
-    einsum_per_state_words,
     per_draw_path,
     power_stationary,
 )
@@ -369,12 +368,6 @@ def test_matmul_kernels_match_einsum_oracles(m, length):
     vec = np.random.default_rng(length).random((5, m.n_states))
     np.testing.assert_allclose(
         m.extend_words(vec), einsum_extend_words(T, vec), rtol=0, atol=1e-14
-    )
-    np.testing.assert_allclose(
-        m.per_state_word_distributions(length),
-        einsum_per_state_words(T, length),
-        rtol=0,
-        atol=1e-14,
     )
     np.testing.assert_allclose(
         joint_block_distribution(m, length).table.probs,
