@@ -66,10 +66,11 @@ def as_causal(m) -> CausalMachine:
 def minimize_to_causal(m: ValidatedMachine) -> CausalMachine:
     """Merge states with identical future morphs; idempotent.
 
-    States i and j merge iff their rows of the future span agree within
-    FUTURE_TOL, that is, iff every word is as likely from i as from j.
-    Block order (and merged state labels) follow the first member in
-    input order.
+    Blocks start as states whose future-span rows agree within FUTURE_TOL,
+    then split while members send a symbol to different blocks or to none
+    (Moore's refinement), since a tolerance cannot see futures that differ
+    only on rarer words. Block order (and merged state labels) follow the
+    first member in input order.
     """
     if not m.unifilar:
         raise UnifilarRequiredError(
@@ -79,36 +80,31 @@ def minimize_to_causal(m: ValidatedMachine) -> CausalMachine:
     a = len(m.alphabet)
     E = m.emission_matrix()
     T = m.symbol_matrices()
-    succ = np.full((n, a), -1, dtype=int)
-    for x in range(a):
-        for i in range(n):
-            j = int(np.argmax(T[x, i]))
-            if T[x, i, j] > 0.0:
-                succ[i, x] = j
+    succ = np.where(T.max(axis=2) > 0.0, T.argmax(axis=2), -1).T  # [i, x], -1: no edge
 
     apart = np.zeros((n, n))  # max over span words of |P(w | i) - P(w | j)|
     for f in m.future_span().T:
         np.maximum(apart, np.abs(f[:, None] - f[None, :]), out=apart)
-    first = (apart <= FUTURE_TOL).argmax(axis=1).tolist()  # lowest-indexed equal
-    order: dict[int, int] = {}
-    block_of = np.array([order.setdefault(f, len(order)) for f in first])
-
-    n_blocks = block_of.max() + 1
-    members = [np.flatnonzero(block_of == b) for b in range(n_blocks)]
-    labels = [m.states[int(ms[0])] for ms in members]
-    transitions = []
-    for b in range(n_blocks):
-        rep = int(members[b][0])
-        for x in range(a):
-            if succ[rep, x] >= 0:
-                transitions.append(
-                    Transition(
-                        labels[b],
-                        m.alphabet.symbols[x],
-                        float(E[rep, x]),
-                        labels[block_of[succ[rep, x]]],
-                    )
-                )
+    block = (apart <= FUTURE_TOL).argmax(axis=1).tolist()  # each named by a member
+    while True:
+        first: dict[tuple, int] = {}  # signature -> lowest-indexed state with it
+        refined = [
+            first.setdefault((b, *(block[j] if j >= 0 else -1 for j in row)), i)
+            for i, (b, row) in enumerate(zip(block, succ.tolist()))
+        ]
+        if refined == block:
+            break
+        block = refined
+    reps, block_of = np.unique(block, return_inverse=True)  # lowest members, ascending
+    labels = [m.states[r] for r in reps.tolist()]
+    transitions = [
+        Transition(
+            labels[b], m.alphabet.symbols[x], float(E[r, x]), labels[block_of[succ[r, x]]]
+        )
+        for b, r in enumerate(reps.tolist())
+        for x in range(a)
+        if succ[r, x] >= 0
+    ]
     quotient = validate_machine(
         MachineSpec(
             alphabet=m.alphabet,
@@ -279,13 +275,9 @@ def refine_memory(c: CausalMachine, kernel: RefinementKernel) -> PrescientMemory
         memory_id=kernel.name,
         kernel=kernel,
     )
-    gap = prescience_gap(refined, class_of, c)
-    if gap > FUTURE_TOL:
-        raise PrescienceViolationError(
-            f"refinement {kernel.name!r} deviates from its causal morphs by "
-            f"{gap:.3e}",
-            deviation=gap,
-        )
+    _require_prescient(
+        refined, class_of, c, f"refinement {kernel.name!r} deviates from its causal morphs"
+    )
     return memory
 
 
@@ -407,9 +399,11 @@ def prescience_gap(
     """How far a memory's futures stray from its causal classes' futures.
 
     With B the base's future span and M the 0/1 memory-state -> class
-    map, the gap is max_x |T_mem[x] @ (M B) - M (T_base[x] @ B)|. It is 0
-    iff every memory state gives every word its class's probability: by
-    induction on word length, since B spans every base word's column.
+    map, the gap is max_x |T_mem[x] @ (M B) - M (T_base[x] @ B)|. In exact
+    arithmetic it is 0 iff every memory state gives every word its
+    class's probability: by induction on word length, since B spans every
+    base word's column. B is cut at FUTURE_TOL, so futures that differ
+    only on words rarer than that give a gap below it.
     """
     if machine.alphabet.symbols != base.machine.alphabet.symbols:
         raise MachineSpecError("candidate and causal alphabets differ")
@@ -422,6 +416,12 @@ def prescience_gap(
         float(np.abs(t_mem @ B[classes] - (t_base @ B)[classes]).max())
         for t_mem, t_base in zip(machine.symbol_matrices(), base.machine.symbol_matrices())
     )
+
+
+def _require_prescient(machine, causal_map, base: CausalMachine, what: str) -> None:
+    gap = prescience_gap(machine, causal_map, base)
+    if gap > FUTURE_TOL:
+        raise PrescienceViolationError(f"{what} by {gap:.3e}", deviation=gap)
 
 
 @dataclass(frozen=True)
@@ -559,12 +559,9 @@ def parse_memory_machine(data: dict, base: CausalMachine, name: str) -> Prescien
         raise KernelError(
             f"causal_map targets unknown causal states {sorted(unknown_targets)!r}"
         )
-    gap = prescience_gap(machine, causal_map, base)
-    if gap > FUTURE_TOL:
-        raise PrescienceViolationError(
-            f"memory machine deviates from causal morphs by {gap:.3e}",
-            deviation=gap,
-        )
+    _require_prescient(
+        machine, causal_map, base, "memory machine deviates from causal morphs"
+    )
     return PrescientMemory(
         machine=machine,
         base=base,

@@ -180,14 +180,15 @@ class ValidatedMachine:
 
     def future_span(self) -> np.ndarray:
         """F[i, c] = P(next symbols form word w_c | state i), for words w_c
-        whose columns span the column of every word.
+        whose columns span, up to FUTURE_TOL, the column of every word.
 
         Breadth-first over words from the empty word, the all-ones
         column; each level prepends every symbol to the words the last
         level kept, f -> T[x] @ f. A word is kept only if its column
         leaves the span of the columns kept before it by more than
         FUTURE_TOL, so at most n words are kept and no length bound is
-        needed (Schutzenberger 1961; Tzeng 1992).
+        needed (Schutzenberger 1961; Tzeng 1992). The cut is absolute: a
+        direction that only words rarer than FUTURE_TOL reach is not kept.
         """
         T = self._symbol_matrices
         n = self.n_states
@@ -195,20 +196,19 @@ class ValidatedMachine:
         kept: list[np.ndarray] = []
         level = np.ones((n, 1))
         while True:
-            grown = []
-            residual = _residual(basis, level)
+            start = len(kept)
+            residual = _residual(basis[:, :start], level)
             for j in np.flatnonzero(np.linalg.norm(residual, axis=0) > FUTURE_TOL):
                 # words of one level can share a new direction
-                r = _residual(basis, residual[:, j])
+                r = _residual(basis[:, start : len(kept)], residual[:, j])
                 norm = float(np.linalg.norm(r))
                 if norm > FUTURE_TOL:
-                    basis[:, len(kept) + len(grown)] = r / norm
-                    grown.append(level[:, j])
-            if not grown:
+                    basis[:, len(kept)] = r / norm
+                    kept.append(level[:, j])
+            if len(kept) == start:
                 return np.column_stack(kept)
-            kept += grown
-            # column g * |A| + x prepends symbol x to grown word g
-            level = (T @ np.column_stack(grown)).transpose(1, 2, 0).reshape(n, -1)
+            # column g * |A| + x prepends symbol x to kept word g
+            level = (T @ np.column_stack(kept[start:])).transpose(1, 2, 0).reshape(n, -1)
 
 
 def _residual(basis: np.ndarray, v: np.ndarray) -> np.ndarray:

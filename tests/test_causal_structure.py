@@ -55,18 +55,49 @@ def cycle_machine(pattern: str, prefix: str = "Q"):
     return validate_machine(MachineSpec(Alphabet(("0", "1")), states, transitions))
 
 
+def machine(states, transitions, symbols=("0", "1")):
+    """A machine from (from, symbol, p, to) tuples."""
+    return validate_machine(MachineSpec(
+        Alphabet(symbols), tuple(states), tuple(Transition(*t) for t in transitions)
+    ))
+
+
+def rare_turn_machine(eps=1e-10):
+    """X and X' both mostly emit 0, and after a rare 1 their futures part:
+    X's goes on with 0, X''s with 1. Every word is about as likely (within
+    eps) from X as from X'."""
+    return machine(("X", "Y", "X'", "Y'"), [
+        ("X", "0", 1 - eps, "X"), ("X", "1", eps, "Y"), ("Y", "0", 1.0, "X'"),
+        ("X'", "0", 1 - eps, "X'"), ("X'", "1", eps, "Y'"), ("Y'", "1", 1.0, "X"),
+    ])
+
+
+def countdown_machine(n=40):
+    """s_i emits 0 and moves to s_(i+1), or 1 and resets to s_0, each with
+    probability 1/2; only s_(n-1) emits 1 with 1/3. s_i and s_j (i < j)
+    first differ after n - 1 - j zeros, a word of probability
+    2^-(n-1-j): at n = 40 the states before about s_12 differ only on
+    words rarer than FUTURE_TOL."""
+    return machine([f"s{i}" for i in range(n)], [
+        t for i in range(n) for p in [1 / 3 if i == n - 1 else 1 / 2] for t in (
+            (f"s{i}", "0", 1 - p, f"s{(i + 1) % n}"), (f"s{i}", "1", p, "s0"),
+        )
+    ])
+
+
 @st.composite
-def coarse_unifilar(draw, max_states=6):
+def coarse_unifilar(draw, max_states=6, rare=False):
     """Unifilar and strongly connected, with transition probabilities from
     a coarse grid, so that states with equal emissions but different
-    futures are common."""
+    futures are common. With `rare`, some edges get weight 1e-10 instead,
+    so that futures can differ only on words rarer than FUTURE_TOL."""
     n = draw(st.integers(1, max_states))
     a = draw(st.integers(2, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     transitions = []
     for i in range(n):
         emitted = rng.permutation(a)[: rng.integers(1, a + 1)]
-        weights = rng.integers(1, 3, size=len(emitted))
+        weights = rng.choice([1.0, 2.0, 1e-10] if rare else [1.0, 2.0], size=len(emitted))
         targets = rng.integers(0, n, size=len(emitted))
         targets[0] = (i + 1) % n  # a cycle through every state
         for x, w, j in zip(emitted, weights, targets):
@@ -157,8 +188,17 @@ class TestMinimization:
         h_pres = pc_redundant.stationary().entropy()
         assert statistical_complexity(c) <= h_pres + 1e-12
 
-    @given(with_redundant_copies(st.one_of(coarse_unifilar(), cycles)))
+    @given(with_redundant_copies(
+        st.one_of(coarse_unifilar(), coarse_unifilar(rare=True), cycles)
+    ))
     @example(cycle_machine("0000001"))
+    @example(rare_turn_machine())
+    @example(countdown_machine())
+    # Y and Z differ only in Y's 1e-12 chance of emitting 1
+    @example(machine("XYZW", [
+        ("X", "0", 0.5, "Y"), ("X", "1", 0.5, "Z"), ("Y", "0", 1 - 1e-12, "X"),
+        ("Y", "1", 1e-12, "W"), ("Z", "0", 1.0, "X"), ("W", "1", 1.0, "X"),
+    ]))
     @settings(max_examples=120, deadline=None)
     def test_projection_matches_moore_oracle(self, m):
         assert minimize_to_causal(m).projection == moore_partition(m)
