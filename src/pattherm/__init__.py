@@ -80,6 +80,7 @@ from .thermo_costs import (
     Units,
     convergence_gaps,
     cycle_report,
+    cycle_reports,
     dissipation_cost,
     dissipation_limit,
     extraction_work,

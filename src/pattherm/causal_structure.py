@@ -79,8 +79,7 @@ def minimize_to_causal(m: ValidatedMachine) -> CausalMachine:
     n = m.n_states
     a = len(m.alphabet)
     E = m.emission_matrix()
-    T = m.symbol_matrices()
-    succ = np.where(T.max(axis=2) > 0.0, T.argmax(axis=2), -1).T  # [i, x], -1: no edge
+    succ = m.successors()
 
     apart = np.zeros((n, n))  # max over span words of |P(w | i) - P(w | j)|
     for f in m.future_span().T:
@@ -230,7 +229,8 @@ def refine_memory(c: CausalMachine, kernel: RefinementKernel) -> PrescientMemory
     The resulting memory machine emits exactly like its base (so it stays
     prescient by construction) while the landing sub-state inside the
     entered causal state is drawn from the matching kernel rule. The
-    construction is verified with prescience_gap.
+    construction is verified as memory files are: edge support exactly,
+    then prescience_gap.
     """
     _validate_kernel(c, kernel)
     machine = c.machine
@@ -419,7 +419,23 @@ def prescience_gap(
 
 
 def _require_prescient(machine, causal_map, base: CausalMachine, what: str) -> None:
+    """Refuse a memory unless every positive edge m -x-> m' lands in the
+    class the base's x-edge from class(m) reaches, which is exact, and its
+    prescience gap is within FUTURE_TOL."""
     gap = prescience_gap(machine, causal_map, base)
+    classes = np.array([base.machine.state_index(causal_map[u]) for u in machine.states])
+    xs, us, vs = np.nonzero(machine.symbol_matrices())
+    landing = base.machine.successors()[classes[us], xs]
+    wrong = np.flatnonzero(landing != classes[vs])
+    if wrong.size:
+        e = wrong[0]
+        u, x, v = machine.states[us[e]], machine.alphabet.symbols[xs[e]], machine.states[vs[e]]
+        want = base.machine.states[landing[e]] if landing[e] >= 0 else "no class"
+        raise PrescienceViolationError(
+            f"{what}: edge {u!r} --{x!r}--> {v!r} lands in class "
+            f"{causal_map[v]!r}, not {want!r}",
+            deviation=gap,
+        )
     if gap > FUTURE_TOL:
         raise PrescienceViolationError(f"{what} by {gap:.3e}", deviation=gap)
 

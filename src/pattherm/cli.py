@@ -33,7 +33,7 @@ from .process_model import (
     save_machine_file,
     validate_machine,
 )
-from .thermo_costs import CSV_COLUMNS, Units, cycle_report, format_work
+from .thermo_costs import CSV_COLUMNS, Units, cycle_report, cycle_reports, format_work
 
 EXIT_VALIDATION = 2
 EXIT_PRESCIENCE = 3
@@ -165,7 +165,7 @@ def cmd_sweep(args) -> int:
     units = _units_from(args)
     ks = _parse_k_range(args.k_range)
     excess = excess_entropy(mem.base.machine)
-    rows = [cycle_report(mem, k, units=units, excess=excess) for k in ks]
+    rows = cycle_reports(mem, ks, units=units, excess=excess)
     lines = [",".join(CSV_COLUMNS)]
     for report in rows:
         lines.append(",".join(report.csv_row()))

@@ -135,15 +135,17 @@ class ValidatedMachine:
         """Symbol-marginalized state transition matrix."""
         return self._symbol_matrices.sum(axis=0)
 
-    def successor(self, state: str, symbol: str) -> str | None:
-        """Unique positive-probability successor on (state, symbol), if any."""
+    def successors(self) -> np.ndarray:
+        """succ[i, x]: the state symbol x leads to from state i, -1 if none."""
         if not self.unifilar:
             raise UnifilarRequiredError("successor lookup needs a unifilar machine")
-        i = self.state_index(state)
-        x = self.alphabet.index(symbol)
-        row = self._symbol_matrices[x, i]
-        j = int(np.argmax(row))
-        return self.states[j] if row[j] > 0.0 else None
+        T = self._symbol_matrices
+        return np.where(T.max(axis=2) > 0.0, T.argmax(axis=2), -1).T
+
+    def successor(self, state: str, symbol: str) -> str | None:
+        """Unique positive-probability successor on (state, symbol), if any."""
+        j = self.successors()[self.state_index(state), self.alphabet.index(symbol)]
+        return self.states[j] if j >= 0 else None
 
     def stationary(self) -> "StationaryDistribution":
         if not self._stationary_cache:
@@ -178,6 +180,12 @@ class ValidatedMachine:
         """
         return (vec @ self._step).reshape(-1, self.n_states)
 
+    def prepend_symbols(self, cols: np.ndarray) -> np.ndarray:
+        """Lengthen every word of a state-word table F[i, c] = P(w_c | i)
+        by one leading symbol: column c * |A| + x of the result is symbol x
+        followed by word w_c."""
+        return (self._symbol_matrices @ cols).transpose(1, 2, 0).reshape(self.n_states, -1)
+
     def future_span(self) -> np.ndarray:
         """F[i, c] = P(next symbols form word w_c | state i), for words w_c
         whose columns span, up to FUTURE_TOL, the column of every word.
@@ -190,7 +198,6 @@ class ValidatedMachine:
         needed (Schutzenberger 1961; Tzeng 1992). The cut is absolute: a
         direction that only words rarer than FUTURE_TOL reach is not kept.
         """
-        T = self._symbol_matrices
         n = self.n_states
         basis = np.zeros((n, n))  # orthonormal basis of the kept columns, zero-padded
         kept: list[np.ndarray] = []
@@ -207,8 +214,7 @@ class ValidatedMachine:
                     kept.append(level[:, j])
             if len(kept) == start:
                 return np.column_stack(kept)
-            # column g * |A| + x prepends symbol x to kept word g
-            level = (T @ np.column_stack(kept[start:])).transpose(1, 2, 0).reshape(n, -1)
+            level = self.prepend_symbols(np.column_stack(kept[start:]))
 
 
 def _residual(basis: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 Every cost is an average quasistatic work in bits (beta*W / ln 2); the
 Units value converts to joules via the Landauer factor kB*T*ln2 when a
 temperature is supplied. The dissipative memory-update cost is always
-computed along three independent routes; their agreement certifies the
-entropy bookkeeping behind the whole module.
+computed along three routes that read different block entropies (see
+DissipationCost); their agreement, and the extractor identity, certify
+the entropy bookkeeping and the memory's prescience at depth k.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .causal_structure import CausalMachine, PrescientMemory, as_causal, causal_memory
 from .errors import PatthermError
 from .info_measures import (
     FiniteDistribution,
-    JointTable,
     entropy,
+    entropy_bits,
     excess_entropy,
     symbol_entropy_given_state,
 )
@@ -91,15 +94,99 @@ def generation_tape_cost(
 
 
 @dataclass(frozen=True)
+class BlockEntropies:
+    """The block entropies, in bits, that the costs of a k-block read.
+
+    H(R_in, W, R_out) is not among them: it cancels from eq2 and from the
+    extractor identity, and eq3 and eq5 never use it.
+    """
+
+    k: int
+    h: float  # H(X^{t+1} | R^t) of the memory machine, per symbol
+    state_in: float  # H(R_in)
+    state_out: float  # H(R_out)
+    state_word: float  # H(R_in, W)
+    word_state: float  # H(W, R_out)
+    word_in: float  # H(W), from the table that gives H(R_in, W)
+    word_out: float  # H(W), from the table that gives H(W, R_out)
+
+    @property
+    def prescient(self) -> float:
+        """H(R_in) + k*h, the value H(R_in, W) takes for a prescient memory."""
+        return self.state_in + self.k * self.h
+
+
+def block_entropies(mem: PrescientMemory, ks, block_budget: int | None = None):
+    """BlockEntropies at each stride in `ks`, in one pass over two tables.
+
+    The forward table F[i, w] = P(w | R_in = i), n x |A|^k, grows by
+    prepending a symbol; weighted by pi it gives H(R_in, W). The backward
+    table A[w, j] = P(w, R_out = j), |A|^k x n, grows by appending one and
+    gives H(W, R_out). Each stride extends the last one's tables, so a
+    rising `ks` costs one pass; the (R_in, W, R_out) table is never built.
+    """
+    machine = mem.machine
+    for k in ks:
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        machine.check_budget(k, block_budget)
+    pi = machine.stationary().probs
+    h = symbol_entropy_given_state(machine)
+    h_state = entropy_bits(pi)
+    out = []
+    length, forward, backward = 0, np.ones((machine.n_states, 1)), pi[None, :]
+    for k in ks:
+        if k < length:
+            length, forward, backward = 0, np.ones((machine.n_states, 1)), pi[None, :]
+        for _ in range(k - length):
+            forward = machine.prepend_symbols(forward)
+        joint = pi[:, None] * forward
+        state_word, word_in = entropy_bits(joint), entropy_bits(pi @ forward)
+        del joint  # before the backward table grows, to bound peak memory
+        for _ in range(k - length):
+            backward = machine.extend_words(backward)
+        length = k
+        out.append(BlockEntropies(
+            k=k,
+            h=h,
+            state_in=h_state,
+            state_out=h_state,
+            state_word=state_word,
+            word_state=entropy_bits(backward),
+            word_in=word_in,
+            word_out=entropy_bits(backward.sum(axis=1)),
+        ))
+    return out
+
+
+def _dense_entropies(mem: PrescientMemory, k: int, block_budget) -> BlockEntropies:
+    """BlockEntropies from marginals of the (R_in, W, R_out) table."""
+    t = joint_block_distribution(mem.machine, k, block_budget).table
+    return BlockEntropies(
+        k=k,
+        h=symbol_entropy_given_state(mem.machine),
+        state_in=t.entropy("state_in"),
+        state_out=t.entropy("state_out"),
+        state_word=t.entropy(("state_in", "word")),
+        word_state=t.entropy(("word", "state_out")),
+        word_in=t.entropy("word"),
+        word_out=t.entropy("word"),
+    )
+
+
+@dataclass(frozen=True)
 class DissipationCost:
     """The memory-update dissipation, computed three ways.
 
     eq2: erasure-minus-indeterminism form
          H(R^t | block, R^{t+k}) - H(R^{t+k} | R^t, block)
+         = H(R^t, block) - H(block, R^{t+k}), with H(R^t, block) taken at
+         its prescient value H(R) + k*h
     eq3: prediction-minus-retrodiction form
          H(block | R^t) - H(block | R^{t+k})
     eq5: mutual-information form
-         I(block; R^{t+k}) - I(block; R^t)
+         I(block; R^{t+k}) - I(block; R^t), each side's H(block) read
+         from the table its joint entropy comes from
     """
 
     k: int
@@ -122,26 +209,20 @@ def dissipation_cost(
 ) -> DissipationCost:
     """Dissipative work of updating the memory across a k-symbol block.
 
-    All three routes are evaluated from the exact joint block table and
+    The three routes read different entropies (see DissipationCost) and
     must agree within 1e-9; disagreement raises, since it would mean the
-    bookkeeping itself is broken.
+    bookkeeping itself, or the memory's prescience, is broken.
     """
     mem = _as_memory(m)
-    return _dissipation(joint_block_distribution(mem.machine, k, block_budget).table, k, units)
+    return _dissipation(block_entropies(mem, [k], block_budget)[0], units)
 
 
-def _dissipation(t: JointTable, k: int, units: Units) -> DissipationCost:
-    eq2 = t.conditional_entropy("state_in", ("word", "state_out")) - t.conditional_entropy(
-        "state_out", ("state_in", "word")
-    )
-    eq3 = t.conditional_entropy("word", "state_in") - t.conditional_entropy(
-        "word", "state_out"
-    )
-    eq5 = t.mutual_information("word", "state_out") - t.mutual_information(
-        "word", "state_in"
-    )
+def _dissipation(e: BlockEntropies, units: Units) -> DissipationCost:
+    eq2 = e.prescient - e.word_state
+    eq3 = (e.state_word - e.state_in) - (e.word_state - e.state_out)
+    eq5 = (e.word_out + e.state_out - e.word_state) - (e.word_in + e.state_in - e.state_word)
     cost = DissipationCost(
-        k=k,
+        k=e.k,
         eq2=units.convert(eq2),
         eq3=units.convert(eq3),
         eq5=units.convert(eq5),
@@ -149,7 +230,7 @@ def _dissipation(t: JointTable, k: int, units: Units) -> DissipationCost:
     )
     if cost.max_disagreement > IDENTITY_TOL * max(1.0, units.factor):
         raise PatthermError(
-            f"dissipation routes disagree by {cost.max_disagreement:.3e} at k={k}"
+            f"dissipation routes disagree by {cost.max_disagreement:.3e} at k={e.k}"
         )
     return cost
 
@@ -168,13 +249,11 @@ def dissipation_limit(m, excess, units: Units = BITS) -> float:
 def convergence_gaps(m, ks, excess=None, block_budget: int | None = None):
     """|W_diss(k) - (H(R) - E)| for each k, in bits."""
     mem = _as_memory(m)
+    entropies = block_entropies(mem, ks, block_budget)
     if excess is None:
         excess = excess_entropy(mem.base.machine, block_budget=block_budget)
     limit = dissipation_limit(mem, excess)
-    return tuple(
-        abs(dissipation_cost(mem, k, block_budget=block_budget).eq3 - limit)
-        for k in ks
-    )
+    return tuple(abs(_dissipation(e, BITS).eq3 - limit) for e in entropies)
 
 
 @dataclass(frozen=True)
@@ -205,32 +284,47 @@ def extraction_work(
     k * [H(X_default) - H(X^{t+1}|R^t)]; positive means work released.
     Identical for every prescient memory of the same pattern.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     mem = _as_memory(m)
-    table = joint_block_distribution(mem.machine, k, block_budget).table
-    return _extraction(mem, table, k, default, units)
-
-
-def _extraction(
-    mem: PrescientMemory, t: JointTable, k: int, default, units: Units
-) -> ExtractionWork:
-    h = symbol_entropy_given_state(mem.machine)
-    d = _default_dist(mem, default)
-    intermediate = t.conditional_entropy(("state_in", "word"), "state_out")
-    identity = k * h + t.conditional_entropy("state_out", ("state_in", "word"))
-    if abs(intermediate - identity) > IDENTITY_TOL:
-        raise PatthermError(
-            f"extractor bookkeeping identity violated by "
-            f"{abs(intermediate - identity):.3e} at k={k}"
-        )
+    e = block_entropies(mem, [k], block_budget)[0]
+    w_out = _extraction(mem, e, default, units)
+    noise = _update_noise(mem.machine, e)
     return ExtractionWork(
         k=k,
-        value=units.convert(k * (entropy(d) - h)),
-        intermediate=units.convert(intermediate),
-        intermediate_identity=units.convert(identity),
+        value=w_out,
+        intermediate=units.convert(e.state_word + noise - e.state_out),
+        intermediate_identity=units.convert(k * e.h + noise),
         units=units,
     )
+
+
+def _extraction(mem: PrescientMemory, e: BlockEntropies, default, units: Units) -> float:
+    """W_out, once the extractor identity H(R_in, W) = H(R) + k*h holds.
+
+    H(R^t, block | R^{t+k}) - k*h - H(R^{t+k} | R^t, block) reduces to
+    H(R_in, W) - H(R_out) - k*h: a depth-k check that the memory predicts
+    the next k symbols as well as its per-symbol entropy says.
+    """
+    gap = abs(e.state_word - e.state_out - e.k * e.h)
+    if gap > IDENTITY_TOL:
+        raise PatthermError(
+            f"extractor bookkeeping identity violated by {gap:.3e} at k={e.k}"
+        )
+    return units.convert(e.k * (entropy(_default_dist(mem, default)) - e.h))
+
+
+def _update_noise(machine: ValidatedMachine, e: BlockEntropies) -> float:
+    """H(R_out | R_in, W): 0 for a unifilar memory; otherwise
+    H(R_in, W, R_out) - H(R_in, W), streamed one start state at a time."""
+    if machine.unifilar:
+        return 0.0
+    pi = machine.stationary().probs
+    joint = 0.0
+    for i in np.flatnonzero(pi):
+        table = pi[i] * np.eye(machine.n_states)[i : i + 1]
+        for _ in range(e.k):
+            table = machine.extend_words(table)
+        joint += entropy_bits(table)
+    return joint - e.state_word
 
 
 CSV_COLUMNS = (
@@ -290,12 +384,53 @@ def block_work(
     units: Units = BITS,
     block_budget: int | None = None,
 ) -> tuple[float, DissipationCost, float]:
-    """(W_tape, dissipation, W_out) for one k-block, from one joint table."""
+    """(W_tape, dissipation, W_out) for one k-block, from marginals of the
+    (R_in, W, R_out) table.
+
+    `simulate` books these per block. Its trace prints n times W_diss to
+    nine decimals, so W_diss keeps the float these marginals give, which
+    the streamed tables of `cycle_report` can miss in the last bit.
+    """
     mem = _as_memory(m)
     w_tape = generation_tape_cost(mem, k, default, units)
-    table = joint_block_distribution(mem.machine, k, block_budget).table
-    diss = _dissipation(table, k, units)
-    return w_tape, diss, _extraction(mem, table, k, default, units).value
+    e = _dense_entropies(mem, k, block_budget)
+    w_out = _extraction(mem, e, default, units)
+    return w_tape, _dissipation(e, units), w_out
+
+
+def cycle_reports(
+    m,
+    ks,
+    default: FiniteDistribution | None = None,
+    units: Units = BITS,
+    excess=None,
+    block_budget: int | None = None,
+) -> list[CostReport]:
+    """cycle_report at each stride in `ks`, from one pass over the tables."""
+    mem = _as_memory(m)
+    entropies = block_entropies(mem, ks, block_budget)
+    if excess is None:
+        excess = excess_entropy(mem.base.machine, block_budget=block_budget)
+    limit = dissipation_limit(mem, excess, units)
+    reports = []
+    for e in entropies:
+        w_tape = generation_tape_cost(mem, e.k, default, units)
+        w_out = _extraction(mem, e, default, units)
+        diss = _dissipation(e, units)
+        reports.append(CostReport(
+            k=e.k,
+            w_tape=w_tape,
+            w_diss_eq2=diss.eq2,
+            w_diss_eq3=diss.eq3,
+            w_diss_eq5=diss.eq5,
+            w_out=w_out,
+            w_diss_limit=limit,
+            units=units,
+            memory_id=mem.memory_id,
+            minimal=mem.is_minimal,
+            net=w_tape + diss.eq3 - w_out,
+        ))
+    return reports
 
 
 def cycle_report(
@@ -312,22 +447,4 @@ def cycle_report(
     cycle equals the generator's memory-update dissipation; the report
     flags whether the chosen memory attains the causal minimum.
     """
-    mem = _as_memory(m)
-    w_tape, diss, w_out = block_work(mem, k, default, units, block_budget)
-    if excess is None:
-        excess = excess_entropy(mem.base.machine, block_budget=block_budget)
-    limit = dissipation_limit(mem, excess, units)
-    net = w_tape + diss.eq3 - w_out
-    return CostReport(
-        k=k,
-        w_tape=w_tape,
-        w_diss_eq2=diss.eq2,
-        w_diss_eq3=diss.eq3,
-        w_diss_eq5=diss.eq5,
-        w_out=w_out,
-        w_diss_limit=limit,
-        units=units,
-        memory_id=mem.memory_id,
-        minimal=mem.is_minimal,
-        net=net,
-    )
+    return cycle_reports(m, [k], default, units, excess, block_budget)[0]

@@ -102,6 +102,46 @@ def brute_dissipation(machine, k: int) -> tuple[float, float, float]:
     return eq2, eq3, eq5
 
 
+def dense_report_fields(mem, k: int, excess: float) -> dict:
+    """cycle_report's fields, every entropy a marginal of the dense
+    (R_in, W, R_out) table from `joint_block_distribution`: the routes and
+    the extractor identity as the package read them before it streamed
+    two smaller tables instead."""
+    from pattherm.process_model import joint_block_distribution
+
+    p = joint_block_distribution(mem.machine, k).table.probs
+
+    def h(q):
+        q = q[q > 0.0]
+        return float(-(q * np.log2(q)).sum())
+
+    h_all, h_r0w, h_wrk = h(p), h(p.sum(axis=2)), h(p.sum(axis=0))
+    h_w, h_r0, h_rk = h(p.sum(axis=(0, 2))), h(p.sum(axis=(1, 2))), h(p.sum(axis=(0, 1)))
+    h_default = h(mem.machine.default_distribution.probs)
+    w_tape = k * (h_default - _symbol_entropy(mem.base.machine))
+    w_out = k * (h_default - _symbol_entropy(mem.machine))
+    eq3 = (h_r0w - h_r0) - (h_wrk - h_rk)
+    return {
+        "k": k,
+        "w_tape": w_tape,
+        "w_diss_eq2": (h_all - h_wrk) - (h_all - h_r0w),
+        "w_diss_eq3": eq3,
+        "w_diss_eq5": (h_w + h_rk - h_wrk) - (h_w + h_r0 - h_r0w),
+        "w_out": w_out,
+        "w_diss_limit": h_r0 - excess,
+        "net": w_tape + eq3 - w_out,
+        # the extractor identity: H(R_in, W | R_out) - k*h - H(R_out | R_in, W)
+        "extractor_gap": (h_all - h_rk) - k * _symbol_entropy(mem.machine) - (h_all - h_r0w),
+    }
+
+
+def _symbol_entropy(machine) -> float:
+    """H(X | R) at the stationary state the dense table starts from."""
+    e = machine.emission_matrix()
+    logs = np.log2(np.where(e > 0.0, e, 1.0))
+    return float(-(machine.stationary().probs[:, None] * e * logs).sum())
+
+
 def brute_word_distribution(machine, state: str, L: int) -> dict:
     """word -> probability of emitting it when started in `state`.
 

@@ -363,6 +363,27 @@ class TestPrescienceCheck:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
 
+    def test_rare_turn_swap_exits_3(self, tmp_path, capsys):
+        # swapping X and X' moves every word's probability by at most 1e-10,
+        # under FUTURE_TOL, yet the edge Y -0-> X' lands in class X where
+        # the base's 0-edge from Y goes to X'
+        base = rare_turn_machine()
+        swap = {"X": "X'", "X'": "X", "Y": "Y", "Y'": "Y'"}
+        assert prescience_gap(base, swap, minimize_to_causal(base)) <= FUTURE_TOL
+        base_path = tmp_path / "rare_turn.json"
+        base_path.write_text(json.dumps(machine_to_dict(base)))
+        memory_path = tmp_path / "swapped.json"
+        memory_path.write_text(json.dumps(
+            {"kind": "machine", "machine": machine_to_dict(base), "causal_map": swap}
+        ))
+        assert main(["costs", str(base_path), "--memory", str(memory_path), "-k", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: memory machine deviates from causal morphs: edge 'Y' --'0'--> \"X'\" "
+            "lands in class 'X', not \"X'\"\n"
+        )
+
     @given(
         st.one_of(coarse_unifilar(max_states=2), cycles),
         st.integers(0, 2**32 - 1),

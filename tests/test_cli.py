@@ -238,6 +238,17 @@ class TestSweep:
     def test_bad_range_rejected(self, pc_file, capsys):
         assert main(["sweep", pc_file, "--k-range", "5:2"]) == 2
 
+    @pytest.mark.parametrize("memory", [[], ["--memory", str(MACHINES / "kernels" / "pc_split50.json")]])
+    def test_rows_match_costs_byte_for_byte(self, memory, capsys):
+        # sweep extends one stride's tables to the next; costs builds each from scratch
+        machine = str(MACHINES / "pc09.json")
+        assert main(["sweep", machine, *memory, "--k-range", "1:16"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:-1]
+        assert len(rows) == 16
+        for k, row in enumerate(rows, start=1):
+            assert main(["costs", machine, *memory, "-k", str(k), "--csv"]) == 0
+            assert capsys.readouterr().out.splitlines()[1] == row
+
 
 class TestSimulate:
     def test_summary_and_trace(self, pc_file, tmp_path, capsys):
@@ -317,6 +328,21 @@ class TestSimulate:
         assert main(argv) == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
             "822bf080f2aaa77d891221554b034aa38bda8c6b7e8d8251126f79e818666149"
+        )
+
+
+    def test_trace_bytes_pinned_dense_ledger(self, tmp_path, capsys):
+        # simulate books W_diss from block_work's dense-table marginals. On
+        # this machine the streamed tables of cycle_report give a W_diss one
+        # ulp away, which changes the battery column of this trace; the
+        # digest is the one the benchmark's monte-carlo golden holds
+        path = MACHINES.parent / "perfbench" / "inputs" / "exact" / "r40x3_1.json"
+        out_path = tmp_path / "trace.csv"
+        argv = ["simulate", str(path), "-k", "1", "-n", "2000", "--seed", "0",
+                "-o", str(out_path)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "1b4396f36e5968816b393017b383805e776ef377ba2fb87c33d54f019193aa72"
         )
 
 

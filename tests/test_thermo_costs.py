@@ -20,7 +20,7 @@ from pattherm import (
 )
 from pattherm.thermo_costs import CSV_COLUMNS, K_BOLTZMANN
 
-from .oracles import binary_entropy, brute_dissipation
+from .oracles import binary_entropy, brute_dissipation, dense_report_fields
 
 HB9 = binary_entropy(0.9)
 
@@ -297,3 +297,93 @@ class TestCausalMinimality:
 
     def test_memory_entropy_helper(self, pc_memories):
         assert memory_entropy(pc_memories["split50"]) == pytest.approx(2.0, abs=1e-12)
+
+
+class TestStreamedEntropies:
+    """cycle_report reads two |A|^k x n tables, never the (R_in, W, R_out) one."""
+
+    def test_report_matches_dense_oracle(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from pattherm import (
+            DisconnectedError,
+            minimize_to_causal,
+            stochastic_split_kernel,
+            validate_machine,
+        )
+        from .test_process_model import random_unifilar_machine
+
+        @given(
+            random_unifilar_machine(),
+            st.sampled_from(["causal", "split", "random"]),
+            st.integers(1, 6),
+        )
+        @settings(max_examples=60, deadline=None)
+        def run(spec, kind, k):
+            try:
+                machine = validate_machine(spec)
+            except DisconnectedError:
+                return
+            causal = minimize_to_causal(machine)
+            if kind == "causal":
+                mem = causal_memory(causal)
+            elif kind == "split":
+                mem = refine_memory(causal, stochastic_split_kernel(causal, 3, [0.5, 0.3, 0.2]))
+            else:
+                rng = np.random.default_rng(machine.n_states * 31 + k)
+                mem = refine_memory(causal, random_kernel(causal, rng))
+            report = cycle_report(mem, k, excess=0.25)
+            want = dense_report_fields(mem, k, 0.25)
+            assert abs(want.pop("extractor_gap")) < 1e-12
+            for name, value in want.items():
+                assert getattr(report, name) == pytest.approx(value, abs=1e-12), name
+
+        run()
+
+    def test_cost_paths_run_without_the_dense_table(self, monkeypatch, pc_memories, capsys):
+        import pattherm.info_measures as im
+        import pattherm.process_model as pm
+        import pattherm.thermo_costs as tc
+        from pattherm.cli import main
+
+        from .test_cli import MACHINES
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the (R_in, W, R_out) table")
+
+        monkeypatch.setattr(pm, "joint_block_distribution", refuse)
+        monkeypatch.setattr(tc, "joint_block_distribution", refuse)
+        monkeypatch.setattr(im.JointTable, "__post_init__", refuse)
+        for mem in pc_memories.values():
+            cycle_report(mem, 5)
+            dissipation_cost(mem, 5)
+            extraction_work(mem, 5)
+            convergence_gaps(mem, [1, 2, 3])
+        argv = ["sweep", str(MACHINES / "pc09.json"), "--k-range", "1:8",
+                "--memory", str(MACHINES / "kernels" / "pc_split50.json")]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 10
+
+    def test_peak_memory_stays_below_the_dense_table(self):
+        import tracemalloc
+        from pathlib import Path
+
+        from pattherm import load_machine_file, minimize_to_causal, validate_machine
+
+        path = Path(__file__).resolve().parent.parent / "perfbench/inputs/exact/r40x3_0.json"
+        causal = minimize_to_causal(validate_machine(load_machine_file(path)))
+        mem = causal_memory(causal)
+        n, k = mem.machine.n_states, 6
+        dense_bytes = n * 3**k * n * 8
+        mem.machine.stationary()
+        tracemalloc.start()
+        try:
+            cycle_report(mem, k, excess=0.0)
+            dissipation_cost(mem, k)
+            extraction_work(mem, k)
+            convergence_gaps(mem, range(1, k + 1), excess=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 4, (peak, dense_bytes)
