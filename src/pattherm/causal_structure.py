@@ -184,9 +184,6 @@ class RefinementKernel:
     sub_states: dict[str, tuple[str, ...]]
     rules: tuple[KernelRule, ...]
 
-    def rules_for(self, target: str) -> list[KernelRule]:
-        return [r for r in self.rules if r.target == target]
-
 
 def _validate_kernel(c: CausalMachine, kernel: RefinementKernel) -> None:
     machine = c.machine

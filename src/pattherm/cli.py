@@ -40,6 +40,15 @@ EXIT_PRESCIENCE = 3
 EXIT_BLOCK_BUDGET = 4
 EXIT_UNIFILAR = 5
 
+# first match wins; every other PatthermError exits 1
+EXIT_CODES = (
+    (PrescienceViolationError, EXIT_PRESCIENCE),
+    (BlockTooLargeError, EXIT_BLOCK_BUDGET),
+    (UnifilarRequiredError, EXIT_UNIFILAR),
+    ((MachineSpecError, KernelError, DistributionError, OSError), EXIT_VALIDATION),
+    (PatthermError, 1),
+)
+
 
 def _units_from(args) -> Units:
     if args.units == "kT":
@@ -140,10 +149,10 @@ def cmd_costs(args) -> int:
     machine = _load(args)
     mem = _memory_for(machine, args.memory)
     units = _units_from(args)
-    report = cycle_report(mem, args.k, units=units)
+    report = cycle_report(mem, args.k)
     if args.csv:
         print(",".join(CSV_COLUMNS))
-        print(",".join(report.csv_row()))
+        print(",".join(report.csv_row(units)))
         return 0
     u = units.label
     fmt = lambda v: format_work(v, units)  # noqa: E731
@@ -163,16 +172,12 @@ def cmd_sweep(args) -> int:
     machine = _load(args)
     mem = _memory_for(machine, args.memory)
     units = _units_from(args)
-    ks = _parse_k_range(args.k_range)
-    excess = excess_entropy(mem.base.machine)
-    rows = cycle_reports(mem, ks, units=units, excess=excess)
+    rows = cycle_reports(mem, _parse_k_range(args.k_range))
     lines = [",".join(CSV_COLUMNS)]
     for report in rows:
-        lines.append(",".join(report.csv_row()))
-    limit = rows[-1].w_diss_limit
-    lines.append(
-        f"limit,,,,,,{limit:.9f},{units.label},{rows[-1].memory_id}"
-    )
+        lines.append(",".join(report.csv_row(units)))
+    limit = format_work(rows[-1].w_diss_limit, units)
+    lines.append(f"limit,,,,,,{limit},{units.label},{rows[-1].memory_id}")
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -284,24 +289,9 @@ def main(argv=None) -> int:
         )
         try:
             return args.func(args)
-        except PrescienceViolationError as exc:
+        except (PatthermError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PRESCIENCE
-        except BlockTooLargeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BLOCK_BUDGET
-        except UnifilarRequiredError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_UNIFILAR
-        except (MachineSpecError, KernelError, DistributionError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        except PatthermError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

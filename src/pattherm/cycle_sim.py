@@ -25,9 +25,9 @@ import numpy as np
 
 from .causal_structure import PrescientMemory
 from .errors import DesynchronizedError, InsufficientDataError
-from .info_measures import FiniteDistribution, entropy_bits
+from .info_measures import entropy_bits
 from .process_model import _draws, _sampling_rows, _walk
-from .thermo_costs import BITS, Units, block_work
+from .thermo_costs import block_work
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class SimConfig:
     k: int
     n_blocks: int
     seed: int
-    default_distribution: FiniteDistribution | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -92,7 +91,6 @@ class WorkLedger:
     w_tape_per_block: float
     w_diss_per_block: float
     w_out_per_block: float
-    units: Units
     block_count: int = 0
     state_symbol_counts: Counter = field(default_factory=Counter)
     symbol_counts: Counter = field(default_factory=Counter)
@@ -113,9 +111,6 @@ class WorkLedger:
 
     def empirical_symbol_entropy(self) -> tuple[float, int]:
         return _plugin_entropy(self.symbol_counts)
-
-    def empirical_word_entropy(self) -> tuple[float, int]:
-        return _plugin_entropy(self.word_counts)
 
     def empirical_conditional_entropy(self) -> tuple[float, int]:
         """Plug-in H(next symbol | generator state), in bits."""
@@ -176,7 +171,6 @@ def run_cycle(cfg: SimConfig):
     a = len(machine.alphabet)
     states = machine.states
     symbols = machine.alphabet.symbols
-    default = cfg.default_distribution or machine.default_distribution
     k, n_blocks = cfg.k, cfg.n_blocks
     n_steps = k * n_blocks
 
@@ -204,12 +198,11 @@ def run_cycle(cfg: SimConfig):
         weights = in_class.astype(float)
     gen_state, ext_state = _draws(weights, [gen_u[0], ext_u[0]])
 
-    w_tape, diss, w_out = block_work(mem, k, default, BITS)
+    w_tape, diss, w_out = block_work(mem, k)
     ledger = WorkLedger(
         w_tape_per_block=w_tape,
         w_diss_per_block=diss.eq3,
         w_out_per_block=w_out,
-        units=BITS,
         block_count=n_blocks,
     )
 
@@ -248,7 +241,7 @@ def run_cycle(cfg: SimConfig):
     ledger.state_symbol_counts = Counter(zip([states[g] for g in gen_path[:-1]], written))
     ledger.symbol_counts = Counter(written)
     ledger.word_counts = Counter(words)
-    resets = _draws(default.probs, reset_u[:n_steps])
+    resets = _draws(mem.base.machine.default_distribution.probs, reset_u[:n_steps])
     ledger.default_counts = Counter([symbols[r] for r in resets])
 
     gen_labels = [states[g] for g in gen_path[::k]]

@@ -1,12 +1,12 @@
 """Builders for the reference processes used throughout the test suite.
 
 Each function returns an unvalidated MachineSpec; pass it through
-validate_machine (or use the *_machine variants) to obtain a handle.
+validate_machine to obtain a handle.
 """
 
 from __future__ import annotations
 
-from .process_model import Alphabet, MachineSpec, Transition, ValidatedMachine, validate_machine
+from .process_model import Alphabet, MachineSpec, Transition
 
 
 def fair_coin() -> MachineSpec:
@@ -105,22 +105,3 @@ def redundant_fair_coin() -> MachineSpec:
         transitions=tuple(transitions),
     )
 
-
-def fair_coin_machine() -> ValidatedMachine:
-    return validate_machine(fair_coin())
-
-
-def perturbed_coin_machine(p: float = 0.9) -> ValidatedMachine:
-    return validate_machine(perturbed_coin(p))
-
-
-def period_two_machine() -> ValidatedMachine:
-    return validate_machine(period_two())
-
-
-def golden_mean_machine() -> ValidatedMachine:
-    return validate_machine(golden_mean())
-
-
-def even_process_machine() -> ValidatedMachine:
-    return validate_machine(even_process())

@@ -1,11 +1,13 @@
 """Work costs of generating and extracting patterns with prescient memory.
 
-Every cost is an average quasistatic work in bits (beta*W / ln 2); the
-Units value converts to joules via the Landauer factor kB*T*ln2 when a
-temperature is supplied. The dissipative memory-update cost is always
-computed along three routes that read different block entropies (see
-DissipationCost); their agreement, and the extractor identity, certify
-the entropy bookkeeping and the memory's prescience at depth k.
+Every cost is an average quasistatic work in bits (beta*W / ln 2), the
+paper's unit of kB*T*ln2; joules appear only when a cost is printed, via
+`format_work` and a Units value. The default tape distribution is the
+pattern's (`mem.base.machine.default_distribution`). The dissipative
+memory-update cost is always computed along three routes that read
+different block entropies (see DissipationCost); their agreement, and
+the extractor identity, certify the entropy bookkeeping and the memory's
+prescience at depth k, whatever units are printed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 from .causal_structure import CausalMachine, PrescientMemory, as_causal, causal_memory
 from .errors import PatthermError
 from .info_measures import (
-    FiniteDistribution,
     entropy,
     entropy_bits,
     excess_entropy,
@@ -70,15 +71,12 @@ def _as_memory(m) -> PrescientMemory:
     raise TypeError(f"expected a machine or memory, got {type(m).__name__}")
 
 
-def _default_dist(mem: PrescientMemory, default) -> FiniteDistribution:
-    if default is None:
-        return mem.machine.default_distribution
-    return default
+def _default_entropy(mem: PrescientMemory) -> float:
+    """H(X_default) of the pattern's default tape distribution."""
+    return entropy(mem.base.machine.default_distribution)
 
 
-def generation_tape_cost(
-    m, k: int, default: FiniteDistribution | None = None, units: Units = BITS
-) -> float:
+def generation_tape_cost(m, k: int) -> float:
     """Work to write k pattern symbols over default-distributed cells.
 
     k * [H(X_default) - h], with h the per-symbol entropy conditioned on
@@ -89,8 +87,7 @@ def generation_tape_cost(
         raise ValueError("k must be >= 1")
     mem = _as_memory(m)
     h = symbol_entropy_given_state(mem.base.machine)
-    d = _default_dist(mem, default)
-    return units.convert(k * (entropy(d) - h))
+    return k * (_default_entropy(mem) - h)
 
 
 @dataclass(frozen=True)
@@ -193,7 +190,6 @@ class DissipationCost:
     eq2: float
     eq3: float
     eq5: float
-    units: Units = BITS
 
     @property
     def value(self) -> float:
@@ -204,9 +200,7 @@ class DissipationCost:
         return max(abs(self.eq2 - self.eq3), abs(self.eq3 - self.eq5))
 
 
-def dissipation_cost(
-    m, k: int, units: Units = BITS, block_budget: int | None = None
-) -> DissipationCost:
+def dissipation_cost(m, k: int, block_budget: int | None = None) -> DissipationCost:
     """Dissipative work of updating the memory across a k-symbol block.
 
     The three routes read different entropies (see DissipationCost) and
@@ -214,36 +208,30 @@ def dissipation_cost(
     bookkeeping itself, or the memory's prescience, is broken.
     """
     mem = _as_memory(m)
-    return _dissipation(block_entropies(mem, [k], block_budget)[0], units)
+    return _dissipation(block_entropies(mem, [k], block_budget)[0])
 
 
-def _dissipation(e: BlockEntropies, units: Units) -> DissipationCost:
-    eq2 = e.prescient - e.word_state
-    eq3 = (e.state_word - e.state_in) - (e.word_state - e.state_out)
-    eq5 = (e.word_out + e.state_out - e.word_state) - (e.word_in + e.state_in - e.state_word)
+def _dissipation(e: BlockEntropies) -> DissipationCost:
     cost = DissipationCost(
         k=e.k,
-        eq2=units.convert(eq2),
-        eq3=units.convert(eq3),
-        eq5=units.convert(eq5),
-        units=units,
+        eq2=e.prescient - e.word_state,
+        eq3=(e.state_word - e.state_in) - (e.word_state - e.state_out),
+        eq5=(e.word_out + e.state_out - e.word_state) - (e.word_in + e.state_in - e.state_word),
     )
-    if cost.max_disagreement > IDENTITY_TOL * max(1.0, units.factor):
+    if cost.max_disagreement > IDENTITY_TOL:
         raise PatthermError(
             f"dissipation routes disagree by {cost.max_disagreement:.3e} at k={e.k}"
         )
     return cost
 
 
-def memory_entropy(m, units: Units = BITS) -> float:
-    return units.convert(_as_memory(m).memory_entropy())
+def memory_entropy(m) -> float:
+    return _as_memory(m).memory_entropy()
 
 
-def dissipation_limit(m, excess, units: Units = BITS) -> float:
+def dissipation_limit(m, excess) -> float:
     """Large-block dissipation H(R) - E for synchronizing memories."""
-    mem = _as_memory(m)
-    e = float(excess)
-    return units.convert(mem.memory_entropy() - e)
+    return _as_memory(m).memory_entropy() - float(excess)
 
 
 def convergence_gaps(m, ks, excess=None, block_budget: int | None = None):
@@ -253,7 +241,7 @@ def convergence_gaps(m, ks, excess=None, block_budget: int | None = None):
     if excess is None:
         excess = excess_entropy(mem.base.machine, block_budget=block_budget)
     limit = dissipation_limit(mem, excess)
-    return tuple(abs(_dissipation(e, BITS).eq3 - limit) for e in entropies)
+    return tuple(abs(_dissipation(e).eq3 - limit) for e in entropies)
 
 
 @dataclass(frozen=True)
@@ -269,16 +257,9 @@ class ExtractionWork:
     value: float
     intermediate: float
     intermediate_identity: float
-    units: Units = BITS
 
 
-def extraction_work(
-    m,
-    k: int,
-    default: FiniteDistribution | None = None,
-    units: Units = BITS,
-    block_budget: int | None = None,
-) -> ExtractionWork:
+def extraction_work(m, k: int, block_budget: int | None = None) -> ExtractionWork:
     """Average work output of a prescient extractor over a k-block.
 
     k * [H(X_default) - H(X^{t+1}|R^t)]; positive means work released.
@@ -286,18 +267,16 @@ def extraction_work(
     """
     mem = _as_memory(m)
     e = block_entropies(mem, [k], block_budget)[0]
-    w_out = _extraction(mem, e, default, units)
     noise = _update_noise(mem.machine, e)
     return ExtractionWork(
         k=k,
-        value=w_out,
-        intermediate=units.convert(e.state_word + noise - e.state_out),
-        intermediate_identity=units.convert(k * e.h + noise),
-        units=units,
+        value=_extraction(mem, e),
+        intermediate=e.state_word + noise - e.state_out,
+        intermediate_identity=k * e.h + noise,
     )
 
 
-def _extraction(mem: PrescientMemory, e: BlockEntropies, default, units: Units) -> float:
+def _extraction(mem: PrescientMemory, e: BlockEntropies) -> float:
     """W_out, once the extractor identity H(R_in, W) = H(R) + k*h holds.
 
     H(R^t, block | R^{t+k}) - k*h - H(R^{t+k} | R^t, block) reduces to
@@ -309,7 +288,7 @@ def _extraction(mem: PrescientMemory, e: BlockEntropies, default, units: Units) 
         raise PatthermError(
             f"extractor bookkeeping identity violated by {gap:.3e} at k={e.k}"
         )
-    return units.convert(e.k * (entropy(_default_dist(mem, default)) - e.h))
+    return e.k * (_default_entropy(mem) - e.h)
 
 
 def _update_noise(machine: ValidatedMachine, e: BlockEntropies) -> float:
@@ -340,11 +319,12 @@ CSV_COLUMNS = (
 )
 
 
-def format_work(value: float, units: Units) -> str:
-    """9-digit rendering: fixed point for bits, scientific for joules."""
+def format_work(bits: float, units: Units) -> str:
+    """A cost in bits, printed in `units` to 9 digits: fixed point for
+    bits, scientific for joules."""
     if units.mode == "bits":
-        return f"{value:.9f}"
-    return f"{value:.9e}"
+        return f"{bits:.9f}"
+    return f"{units.convert(bits):.9e}"
 
 
 @dataclass(frozen=True)
@@ -358,31 +338,23 @@ class CostReport:
     w_diss_eq5: float
     w_out: float
     w_diss_limit: float
-    units: Units
     memory_id: str
     minimal: bool
     net: float
 
-    def csv_row(self) -> list[str]:
+    def csv_row(self, units: Units = BITS) -> list[str]:
+        works = (self.w_tape, self.w_diss_eq2, self.w_diss_eq3, self.w_diss_eq5,
+                 self.w_out, self.w_diss_limit)
         return [
             str(self.k),
-            format_work(self.w_tape, self.units),
-            format_work(self.w_diss_eq2, self.units),
-            format_work(self.w_diss_eq3, self.units),
-            format_work(self.w_diss_eq5, self.units),
-            format_work(self.w_out, self.units),
-            format_work(self.w_diss_limit, self.units),
-            self.units.label,
+            *(format_work(w, units) for w in works),
+            units.label,
             self.memory_id,
         ]
 
 
 def block_work(
-    m,
-    k: int,
-    default: FiniteDistribution | None = None,
-    units: Units = BITS,
-    block_budget: int | None = None,
+    m, k: int, block_budget: int | None = None
 ) -> tuple[float, DissipationCost, float]:
     """(W_tape, dissipation, W_out) for one k-block, from marginals of the
     (R_in, W, R_out) table.
@@ -392,31 +364,26 @@ def block_work(
     the streamed tables of `cycle_report` can miss in the last bit.
     """
     mem = _as_memory(m)
-    w_tape = generation_tape_cost(mem, k, default, units)
+    w_tape = generation_tape_cost(mem, k)
     e = _dense_entropies(mem, k, block_budget)
-    w_out = _extraction(mem, e, default, units)
-    return w_tape, _dissipation(e, units), w_out
+    w_out = _extraction(mem, e)
+    return w_tape, _dissipation(e), w_out
 
 
 def cycle_reports(
-    m,
-    ks,
-    default: FiniteDistribution | None = None,
-    units: Units = BITS,
-    excess=None,
-    block_budget: int | None = None,
+    m, ks, excess=None, block_budget: int | None = None
 ) -> list[CostReport]:
     """cycle_report at each stride in `ks`, from one pass over the tables."""
     mem = _as_memory(m)
     entropies = block_entropies(mem, ks, block_budget)
     if excess is None:
         excess = excess_entropy(mem.base.machine, block_budget=block_budget)
-    limit = dissipation_limit(mem, excess, units)
+    limit = dissipation_limit(mem, excess)
     reports = []
     for e in entropies:
-        w_tape = generation_tape_cost(mem, e.k, default, units)
-        w_out = _extraction(mem, e, default, units)
-        diss = _dissipation(e, units)
+        w_tape = generation_tape_cost(mem, e.k)
+        w_out = _extraction(mem, e)
+        diss = _dissipation(e)
         reports.append(CostReport(
             k=e.k,
             w_tape=w_tape,
@@ -425,7 +392,6 @@ def cycle_reports(
             w_diss_eq5=diss.eq5,
             w_out=w_out,
             w_diss_limit=limit,
-            units=units,
             memory_id=mem.memory_id,
             minimal=mem.is_minimal,
             net=w_tape + diss.eq3 - w_out,
@@ -434,12 +400,7 @@ def cycle_reports(
 
 
 def cycle_report(
-    m,
-    k: int,
-    default: FiniteDistribution | None = None,
-    units: Units = BITS,
-    excess=None,
-    block_budget: int | None = None,
+    m, k: int, excess=None, block_budget: int | None = None
 ) -> CostReport:
     """Full generate-then-extract cycle balance for one block.
 
@@ -447,4 +408,4 @@ def cycle_report(
     cycle equals the generator's memory-update dissipation; the report
     flags whether the chosen memory attains the causal minimum.
     """
-    return cycle_reports(m, [k], default, units, excess, block_budget)[0]
+    return cycle_reports(m, [k], excess, block_budget)[0]

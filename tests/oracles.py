@@ -24,7 +24,7 @@ import numpy as np
 
 from pattherm.cycle_sim import BlockRecord, SimTrace, WorkLedger
 from pattherm.errors import DesynchronizedError
-from pattherm.thermo_costs import BITS, block_work
+from pattherm.thermo_costs import block_work
 
 
 def binary_entropy(p: float) -> float:
@@ -343,7 +343,7 @@ def per_draw_cycle(cfg):
     machine = mem.machine
     n = machine.n_states
     alphabet = machine.alphabet
-    default = cfg.default_distribution or machine.default_distribution
+    default = mem.base.machine.default_distribution
 
     a = len(alphabet)
     emit_rows = _cumulative_rows(machine.emission_matrix())
@@ -367,12 +367,11 @@ def per_draw_cycle(cfg):
     gen_state = _draw(member_row, next(gen_u))
     ext_state = _draw(member_row, next(ext_u))
 
-    w_tape, diss, w_out = block_work(mem, cfg.k, default, BITS)
+    w_tape, diss, w_out = block_work(mem, cfg.k)
     ledger = WorkLedger(
         w_tape_per_block=w_tape,
         w_diss_per_block=diss.eq3,
         w_out_per_block=w_out,
-        units=BITS,
     )
     tape = deque()
     records = []

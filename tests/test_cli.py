@@ -1,12 +1,13 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pattherm import machine_to_dict, minimize_to_causal, validate_machine
+from pattherm import machine_to_dict, minimize_to_causal, thermo_costs, validate_machine
 from pattherm.cli import main
 from pattherm.machines import (
     even_process,
@@ -174,6 +175,41 @@ class TestCosts:
         assert out[-2] == "J"
         assert float(out[2]) == pytest.approx(0.468995594 * 2.8708e-21, rel=1e-3)
 
+    def test_kT_route_check_runs_in_bits(self, monkeypatch, capsys):
+        # two H(W) that disagree by 0.1 bit must fail the eq5 route whatever
+        # units are printed; in joules the gap is ~3e-22 and slipped past
+        real = thermo_costs.block_entropies
+
+        def skewed(*args, **kwargs):
+            return [replace(e, word_out=e.word_out + 0.1) for e in real(*args, **kwargs)]
+
+        monkeypatch.setattr(thermo_costs, "block_entropies", skewed)
+        argv = ["costs", str(MACHINES / "pc09.json"), "-k", "2",
+                "--units", "kT", "--temperature", "300", "--csv"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "dissipation routes disagree" in captured.err
+
+    def test_explicit_memory_uses_pattern_default(self, tmp_path, capsys):
+        # the memory file's machine carries no default (so a uniform one);
+        # the tape default is the pattern's all the same
+        machine = _machine_file(tmp_path, default_distribution={"L": 0.9, "R": 0.1})
+        memory = tmp_path / "explicit.json"
+        memory.write_text(json.dumps({
+            "kind": "machine",
+            "machine": machine_to_dict(validate_machine(perturbed_coin(0.9))),
+            "causal_map": {"L": "L", "R": "R"},
+        }))
+        rows = []
+        for selector in ("causal", str(memory)):
+            assert main(["costs", machine, "--memory", selector, "-k", "2", "--csv"]) == 0
+            rows.append(capsys.readouterr().out.splitlines()[1].split(","))
+        assert rows[1][-1] == "explicit"
+        assert rows[1][:-1] == rows[0][:-1]
+        assert float(rows[0][1]) == pytest.approx(0.0, abs=1e-9)  # W_tape
+
     def test_non_prescient_memory_exits_3(self, pc_file, tmp_path, capsys):
         data = {
             "kind": "machine",
@@ -234,6 +270,14 @@ class TestSweep:
         assert main(["sweep", pc_file, "--k-range", "2"]) == 0
         out = capsys.readouterr().out.strip().split("\n")
         assert len(out) == 3  # header, k=2, limit
+
+    def test_kT_limit_row_in_joules(self, pc_file, capsys):
+        argv = ["sweep", pc_file, "--k-range", "2", "--units", "kT", "--temperature", "300"]
+        assert main(argv) == 0
+        row, limit_row = (line.split(",") for line in capsys.readouterr().out.splitlines()[1:])
+        assert limit_row[:6] == ["limit", "", "", "", "", ""]
+        assert limit_row[6:] == row[6:]  # W_diss_limit, units, memory_id
+        assert float(limit_row[6]) == pytest.approx(HB9 * 2.8708e-21, rel=1e-3)
 
     def test_bad_range_rejected(self, pc_file, capsys):
         assert main(["sweep", pc_file, "--k-range", "5:2"]) == 2

@@ -61,19 +61,28 @@ class TestGenerationTapeCost:
         c5 = generation_tape_cost(gm_causal, 5)
         assert c5 == pytest.approx(5 * c1, abs=1e-12)
 
-    def test_non_uniform_default(self, pc_causal):
-        from pattherm import FiniteDistribution
+    def test_non_uniform_default(self):
+        from dataclasses import replace
+
+        from pattherm import FiniteDistribution, minimize_to_causal, validate_machine
+        from pattherm.machines import perturbed_coin
 
         biased = FiniteDistribution(("L", "R"), np.array([0.9, 0.1]))
+        spec = replace(perturbed_coin(0.9), default_distribution=biased)
+        causal = minimize_to_causal(validate_machine(spec))
         # default entropy H_b(0.9) equals the pattern's entropy rate: no cost
-        cost = generation_tape_cost(pc_causal, 1, default=biased)
+        cost = generation_tape_cost(causal, 1)
         assert cost == pytest.approx(0.0, abs=1e-12)
 
     def test_physical_units(self, pc_causal):
         u = Units(mode="physical", temperature=300.0)
-        bits = generation_tape_cost(pc_causal, 2)
-        joules = generation_tape_cost(pc_causal, 2, units=u)
-        assert joules == pytest.approx(bits * u.factor)
+        report = cycle_report(pc_causal, 2)
+        bits = (report.w_tape, report.w_diss_eq2, report.w_diss_eq3,
+                report.w_diss_eq5, report.w_out, report.w_diss_limit)
+        row = report.csv_row(u)
+        assert row[-2] == "J"
+        for value, text in zip(bits, row[1:7], strict=True):
+            assert float(text) == pytest.approx(value * u.factor, rel=1e-9)
 
 
 class TestDissipationCost:
@@ -119,9 +128,10 @@ class TestDissipationCost:
 
     def test_units_conversion(self, pc_memories):
         u = Units(mode="physical", temperature=250.0)
-        bits = dissipation_cost(pc_memories["causal"], 2).eq3
-        phys = dissipation_cost(pc_memories["causal"], 2, units=u).eq3
-        assert phys == pytest.approx(bits * u.factor)
+        d = dissipation_cost(pc_memories["causal"], 2)
+        phys = cycle_report(pc_memories["causal"], 2).csv_row(u)[2:5]
+        for bits, text in zip((d.eq2, d.eq3, d.eq5), phys, strict=True):
+            assert float(text) == pytest.approx(bits * u.factor, rel=1e-9)
 
 
 class TestDissipationLimit:
