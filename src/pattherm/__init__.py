@@ -49,11 +49,9 @@ from .info_measures import (
     FiniteDistribution,
     JointTable,
     block_entropy,
-    conditional_entropy,
     entropy,
     entropy_rate,
     excess_entropy,
-    mutual_information,
     uniform_distribution,
 )
 from .process_model import (

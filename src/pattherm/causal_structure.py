@@ -452,9 +452,8 @@ def check_determinism(
     """True iff the final memory state is fixed by (initial state, block)."""
     from .process_model import joint_block_distribution
 
-    joint = joint_block_distribution(mem.machine, k, block_budget)
-    residual = joint.table.conditional_entropy("state_out", ("state_in", "word"))
-    residual = max(residual, 0.0)
+    table = joint_block_distribution(mem.machine, k, block_budget).table
+    residual = max(table.entropy() - table.entropy(("state_in", "word")), 0.0)
     return DeterminismCheck(ok=residual < DETERMINISM_TOL, residual=residual)
 
 
@@ -551,7 +550,7 @@ def parse_kernel(data: dict, name: str = "kernel") -> RefinementKernel:
             )
         )
     return RefinementKernel(
-        name=str(data.get("name", name)), sub_states=subs, rules=tuple(rules)
+        name=_file_name(data, name), sub_states=subs, rules=tuple(rules)
     )
 
 
@@ -565,7 +564,13 @@ def parse_memory_machine(data: dict, base: CausalMachine, name: str) -> Prescien
         raise KernelError(
             f"memory 'causal_map' must be an object, got {data['causal_map']!r}"
         )
-    machine = validate_machine(parse_machine(data["machine"]))
+    spec = parse_machine(data["machine"])
+    if spec.default_distribution is not None:
+        raise KernelError(
+            "memory machine may not set 'default_distribution': "
+            "costs read the pattern's default"
+        )
+    machine = validate_machine(spec)
     causal_map = {str(u): str(s) for u, s in data["causal_map"].items()}
     unknown_targets = set(causal_map.values()) - set(base.machine.states)
     if unknown_targets:
@@ -579,8 +584,15 @@ def parse_memory_machine(data: dict, base: CausalMachine, name: str) -> Prescien
         machine=machine,
         base=base,
         causal_map=causal_map,
-        memory_id=str(data.get("name", name)),
+        memory_id=_file_name(data, name),
     )
+
+
+def _file_name(data: dict, default: str) -> str:
+    name = data.get("name", default)
+    if not isinstance(name, str):
+        raise KernelError(f"'name' must be a string, got {name!r}")
+    return name
 
 
 def load_memory_file(path, base: CausalMachine) -> PrescientMemory:

@@ -9,7 +9,7 @@ well; they operate on validated machines from :mod:`pattherm.process_model`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,9 +23,11 @@ def _as_prob_array(probs, tol: float = PROB_TOL) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.size == 0:
         raise DistributionError("empty probability table")
+    total = p.sum()
+    if not np.isfinite(total):  # a NaN or infinite entry reaches the sum
+        raise DistributionError(f"probabilities must be finite, they sum to {total!r}")
     if p.min() < -tol:
         raise DistributionError(f"negative probability {p.min()!r}")
-    total = p.sum()
     if abs(total - 1.0) > max(tol, 1e-12 * p.size):
         raise DistributionError(f"probabilities sum to {total!r}, expected 1")
     return p
@@ -105,15 +107,12 @@ def uniform_distribution(labels: Sequence) -> FiniteDistribution:
 class JointTable:
     """Joint probability table with named axes.
 
-    The probability array has one dimension per axis name; marginals and
-    the conditional/mutual-information helpers are defined over axis-name
-    groups. Marginal entropies are memoised per axis set, since the
-    conditional and mutual-information forms reuse the same few marginals.
+    The probability array has one dimension per axis name. `entropy`
+    reads the joint entropy of any group of axes, summing out the rest.
     """
 
     axes: tuple[str, ...]
     probs: np.ndarray
-    _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         axes = tuple(self.axes)
@@ -138,59 +137,13 @@ class JointTable:
             raise AxisError(f"duplicate axis in {tuple(names)!r}")
         return tuple(ids)
 
-    def marginal(self, names: Iterable[str] | str) -> "JointTable":
-        keep = self._axis_ids(names)
-        drop = tuple(i for i in range(self.probs.ndim) if i not in keep)
-        p = self.probs.sum(axis=drop) if drop else self.probs
-        kept_sorted = tuple(i for i in range(self.probs.ndim) if i in keep)
-        return JointTable(tuple(self.axes[i] for i in kept_sorted), p)
-
     def entropy(self, names: Iterable[str] | str | None = None) -> float:
+        """Joint entropy of the named axes (all of them by default), in bits."""
         if names is None:
             return entropy_bits(self.probs)
-        key = tuple(sorted(self._axis_ids(names)))
-        if key not in self._entropies:
-            self._entropies[key] = self.marginal(names).entropy()
-        return self._entropies[key]
-
-    def conditional_entropy(self, target, given) -> float:
-        t = self._axis_ids(target)
-        g = self._axis_ids(given)
-        if set(t) & set(g):
-            raise AxisError("target and given variables overlap")
-        joint = tuple(self.axes[i] for i in sorted(set(t) | set(g)))
-        given_names = tuple(self.axes[i] for i in g)
-        return self.entropy(joint) - self.entropy(given_names)
-
-    def mutual_information(self, group_a, group_b) -> float:
-        a = self._axis_ids(group_a)
-        b = self._axis_ids(group_b)
-        if set(a) & set(b):
-            raise AxisError("mutual-information groups overlap")
-        names_a = tuple(self.axes[i] for i in a)
-        names_b = tuple(self.axes[i] for i in b)
-        joint = tuple(self.axes[i] for i in sorted(set(a) | set(b)))
-        return self.entropy(names_a) + self.entropy(names_b) - self.entropy(joint)
-
-
-def _table_of(j) -> JointTable:
-    # accepts a JointTable or anything carrying one (JointBlockDistribution)
-    if isinstance(j, JointTable):
-        return j
-    table = getattr(j, "table", None)
-    if isinstance(table, JointTable):
-        return table
-    raise AxisError(f"expected a joint table, got {type(j).__name__}")
-
-
-def conditional_entropy(j, target, given) -> float:
-    """H(target | given) = H(target, given) - H(given), in bits."""
-    return _table_of(j).conditional_entropy(target, given)
-
-
-def mutual_information(j, group_a, group_b) -> float:
-    """I(A;B) = H(A) + H(B) - H(A,B), in bits; symmetric in A and B."""
-    return _table_of(j).mutual_information(group_a, group_b)
+        keep = self._axis_ids(names)
+        drop = tuple(i for i in range(self.probs.ndim) if i not in keep)
+        return entropy_bits(self.probs.sum(axis=drop) if drop else self.probs)
 
 
 def symbol_entropy_given_state(m) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,15 +57,6 @@ class Alphabet:
             return self.symbols.index(symbol)
         except ValueError:
             raise MachineSpecError(f"unknown symbol {symbol!r}") from None
-
-    def word(self, index: int, length: int) -> str:
-        """Decode a big-endian word index into its symbol string."""
-        chars = []
-        a = len(self.symbols)
-        for _ in range(length):
-            index, rest = divmod(index, a)
-            chars.append(self.symbols[rest])
-        return "".join(reversed(chars))
 
 
 class Transition(NamedTuple):
@@ -353,62 +344,17 @@ def stationary_distribution(m: ValidatedMachine) -> StationaryDistribution:
 
 @dataclass(frozen=True)
 class JointBlockDistribution:
-    """Exact table over (initial state, length-k word, final state)."""
+    """Exact table over (initial state, length-k word, final state).
+
+    `table.probs[i, w, j]` is the probability of starting in state i,
+    emitting word w and ending in state j; states follow
+    `machine.states` and words are indexed big-endian over
+    `machine.alphabet` (word x_1..x_k has index sum x_t * |A|^(k-t)).
+    """
 
     machine: ValidatedMachine
     k: int
     table: JointTable
-
-    def probability(self, state_in: str, word, state_out: str) -> float:
-        """Entry lookup; `word` is a string or a sequence of symbol labels."""
-        i = self.machine.state_index(state_in)
-        j = self.machine.state_index(state_out)
-        return float(self.table.probs[i, self._word_index(word), j])
-
-    def _word_index(self, word) -> int:
-        if isinstance(word, str):
-            symbols = _split_word(word, self.machine.alphabet)
-        else:
-            symbols = list(word)
-        if len(symbols) != self.k:
-            raise MachineSpecError(f"word {word!r} does not have length {self.k}")
-        idx = 0
-        for s in symbols:
-            idx = idx * len(self.machine.alphabet) + self.machine.alphabet.index(s)
-        return idx
-
-    def word(self, index: int) -> str:
-        """The symbol string at position `index` of the table's word axis."""
-        return self.machine.alphabet.word(index, self.k)
-
-    def word_probabilities(self) -> np.ndarray:
-        return self.table.probs.sum(axis=(0, 2))
-
-    def entries(self):
-        """Yield ((state_in, word, state_out), p) for all positive entries."""
-        probs = self.table.probs
-        states = self.machine.states
-        for i, w, j in zip(*np.nonzero(probs)):
-            yield (states[i], self.word(int(w)), states[j]), float(probs[i, w, j])
-
-
-def _split_word(word: str, alphabet: Alphabet) -> list[str]:
-    """Split a word string into symbols; single-char symbols split directly."""
-    if all(len(s) == 1 for s in alphabet.symbols):
-        return list(word)
-    # multi-character symbols: greedy longest match
-    symbols = sorted(alphabet.symbols, key=len, reverse=True)
-    out = []
-    rest = word
-    while rest:
-        for s in symbols:
-            if rest.startswith(s):
-                out.append(s)
-                rest = rest[len(s):]
-                break
-        else:
-            raise MachineSpecError(f"cannot split word {word!r} over the alphabet")
-    return out
 
 
 def joint_block_distribution(

@@ -159,6 +159,7 @@ def block_entropies(mem: PrescientMemory, ks, block_budget: int | None = None):
 def _dense_entropies(mem: PrescientMemory, k: int, block_budget) -> BlockEntropies:
     """BlockEntropies from marginals of the (R_in, W, R_out) table."""
     t = joint_block_distribution(mem.machine, k, block_budget).table
+    h_word = t.entropy("word")
     return BlockEntropies(
         k=k,
         h=symbol_entropy_given_state(mem.machine),
@@ -166,8 +167,8 @@ def _dense_entropies(mem: PrescientMemory, k: int, block_budget) -> BlockEntropi
         state_out=t.entropy("state_out"),
         state_word=t.entropy(("state_in", "word")),
         word_state=t.entropy(("word", "state_out")),
-        word_in=t.entropy("word"),
-        word_out=t.entropy("word"),
+        word_in=h_word,
+        word_out=h_word,
     )
 
 

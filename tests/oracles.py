@@ -79,6 +79,12 @@ def brute_joint(machine, k: int) -> dict:
     return table
 
 
+def word_labels(symbols, k: int) -> list[str]:
+    """Every length-k word over single-character `symbols`, in the
+    big-endian order of a block table's word axis."""
+    return ["".join(w) for w in product(symbols, repeat=k)]
+
+
 def marginal(table: dict, keep: tuple) -> dict:
     out: dict = {}
     for key, p in table.items():
@@ -117,7 +123,7 @@ def dense_report_fields(mem, k: int, excess: float) -> dict:
 
     h_all, h_r0w, h_wrk = h(p), h(p.sum(axis=2)), h(p.sum(axis=0))
     h_w, h_r0, h_rk = h(p.sum(axis=(0, 2))), h(p.sum(axis=(1, 2))), h(p.sum(axis=(0, 1)))
-    h_default = h(mem.machine.default_distribution.probs)
+    h_default = h(mem.base.machine.default_distribution.probs)
     w_tape = k * (h_default - _symbol_entropy(mem.base.machine))
     w_out = k * (h_default - _symbol_entropy(mem.machine))
     eq3 = (h_r0w - h_r0) - (h_wrk - h_rk)

@@ -1,11 +1,15 @@
 import hashlib
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pattherm import machine_to_dict, minimize_to_causal, thermo_costs, validate_machine
 from pattherm.cli import main
@@ -422,11 +426,14 @@ def _kernel(tmp_path, **changes):
     return _memory_file(tmp_path, {**data, **changes})
 
 
-def _explicit_memory(tmp_path, causal_map):
+def _explicit_memory(tmp_path, causal_map, machine_changes=(), **changes):
     machine = machine_to_dict(validate_machine(perturbed_coin(0.9)))
-    return _memory_file(
-        tmp_path, {"kind": "machine", "machine": machine, "causal_map": causal_map}
-    )
+    machine.update(machine_changes)
+    data = {"kind": "machine", "machine": machine, "causal_map": causal_map}
+    return _memory_file(tmp_path, {**data, **changes})
+
+
+PC_MAP = {"L": "L", "R": "R"}
 
 
 MALFORMED = {
@@ -437,6 +444,13 @@ MALFORMED = {
     "kernel-p-bool": lambda t: _kernel(t, rules=[{"target": "L", "p": {"L": True}}, R_RULE]),
     "kernel-p-list": lambda t: _kernel(t, rules=[{"target": "L", "p": [1.0]}, R_RULE]),
     "memory-causal-map-list": lambda t: _explicit_memory(t, ["L", "R"]),
+    "memory-default-distribution": lambda t: _explicit_memory(
+        t, PC_MAP, {"default_distribution": {"L": 0.2, "R": 0.8}}),
+    "memory-name-nan": lambda t: _explicit_memory(t, PC_MAP, name=float("nan")),
+    "kernel-name-null": lambda t: _kernel(t, name=None),
+    "default-distribution-nan": lambda t: [
+        "costs", _machine_file(t, default_distribution={"L": float("nan"), "R": 1.0}),
+        "-k", "2", "--csv"],
     "simulate-seed-negative": lambda t: ["simulate", _machine_file(t), "-k", "1", "-n", "5",
                                          "--seed", "-1"],
     "alphabet-number": lambda t: ["analyze", _machine_file(t, alphabet=5)],
@@ -468,6 +482,76 @@ def test_malformed_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     # argparse prints its usage lines above the one error line
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1
+
+
+FUZZ_VALUES = (None, True, False, float("nan"), float("inf"), float("-inf"),
+               0, -1, 1e308, "", [], {})
+DELETE = object()
+
+
+def _fuzz_documents() -> dict:
+    pc09 = json.loads((MACHINES / "pc09.json").read_text())
+    return {
+        "machine": pc09,
+        "kernel": json.loads((MACHINES / "kernels" / "pc_split50.json").read_text()),
+        "memory": {"kind": "machine", "name": "pc09-causal", "machine": pc09,
+                   "causal_map": dict(PC_MAP)},
+    }
+
+
+def _fields(node, path=()):
+    """The path of every value below `node`: dict entries and list items."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+@st.composite
+def mutated_input(draw):
+    """One of the three input documents with one to three fields replaced
+    by an edge value or deleted."""
+    kind = draw(st.sampled_from(("machine", "kernel", "memory")))
+    doc = _fuzz_documents()[kind]
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_fields(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        value = draw(st.sampled_from((DELETE,) + FUZZ_VALUES))
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return kind, doc
+
+
+@given(mutated_input())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_inputs_exit_cleanly(tmp_path, case):
+    kind, doc = case
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    if kind == "machine":
+        argv = ["costs", str(path), "-k", "2", "--csv"]
+    else:
+        argv = ["costs", str(MACHINES / "pc09.json"), "--memory", str(path),
+                "-k", "2", "--csv"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = exit_code(argv)
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert "nan" not in out.getvalue().lower()
+        assert "inf" not in out.getvalue().lower()
+    else:
+        assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1
 
 
 class TestMinimize:

@@ -32,6 +32,7 @@ from .oracles import (
     einsum_joint_block,
     per_draw_path,
     power_stationary,
+    word_labels,
 )
 
 
@@ -150,8 +151,9 @@ class TestStationaryDistribution:
 class TestJointBlockDistribution:
     def test_pc_k1_entry(self, pc):
         joint = joint_block_distribution(pc, 1)
+        L, x = pc.state_index("L"), pc.alphabet.index("L")
         # stationary 0.5 into L times the 0.9 self-loop
-        assert joint.probability("L", "L", "L") == pytest.approx(0.45, abs=1e-12)
+        assert joint.table.probs[L, x, L] == pytest.approx(0.45, abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_entries_sum_to_one(self, gm, k):
@@ -160,7 +162,7 @@ class TestJointBlockDistribution:
 
     def test_gm_forbidden_word(self, gm):
         joint = joint_block_distribution(gm, 2)
-        idx = joint._word_index("00")
+        idx = word_labels(gm.alphabet.symbols, 2).index("00")
         assert joint.table.probs[:, idx, :].sum() == 0.0
 
     def test_marginals_equal_stationary(self, gm):
@@ -191,17 +193,19 @@ class TestJointBlockDistribution:
     def test_matches_brute_force_enumeration(self, gm):
         from .oracles import brute_joint
 
-        joint = joint_block_distribution(gm, 3)
+        probs = joint_block_distribution(gm, 3).table.probs
         oracle = brute_joint(gm, 3)
-        for key, p in joint.entries():
-            assert p == pytest.approx(oracle.get(key, 0.0), abs=1e-12)
+        words = word_labels(gm.alphabet.symbols, 3)
+        for i, w, j in np.ndindex(probs.shape):
+            key = (gm.states[i], words[w], gm.states[j])
+            assert probs[i, w, j] == pytest.approx(oracle.get(key, 0.0), abs=1e-12)
         total = sum(oracle.values())
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_stationarity_of_symbol_marginal(self, gm):
         # symbol distribution from pi equals the one after one propagation step
         j1 = joint_block_distribution(gm, 1)
-        p_now = j1.word_probabilities()
+        p_now = j1.table.probs.sum(axis=(0, 2))
         j2 = joint_block_distribution(gm, 2)
         a = len(gm.alphabet)
         p_shifted = j2.table.probs.sum(axis=(0, 2)).reshape(a, a).sum(axis=0)
@@ -234,9 +238,9 @@ class TestSamplePath:
 
         _, symbols = sample_path(gm, seed=9, n=100_000)
         joint = joint_block_distribution(gm, 3)
-        expected_p = joint.word_probabilities()
+        expected_p = joint.table.probs.sum(axis=(0, 2))
         words = ["".join(symbols[i : i + 3]) for i in range(0, len(symbols) - 2, 3)]
-        labels = [joint.word(w) for w in range(joint.table.probs.shape[1])]
+        labels = word_labels(gm.alphabet.symbols, 3)
         counts = np.array([words.count(w) for w in labels], dtype=float)
         keep = expected_p > 0.0
         assert counts[~keep].sum() == 0
