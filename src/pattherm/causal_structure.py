@@ -11,7 +11,7 @@ transition, producing a larger memory that predicts exactly as well.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .errors import (
 )
 from .info_measures import entropy_bits
 from .process_model import (
-    FUTURE_TOL,
     MachineSpec,
     Transition,
     ValidatedMachine,
@@ -35,6 +34,8 @@ from .process_model import (
 KERNEL_ROW_TOL = 1e-12
 DETERMINISM_TOL = 1e-9
 SYNC_TOL = 1e-9
+# next-symbol rows that agree this closely count as the same prediction
+FUTURE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +67,9 @@ def as_causal(m) -> CausalMachine:
 def minimize_to_causal(m: ValidatedMachine) -> CausalMachine:
     """Merge states with identical future morphs; idempotent.
 
-    Blocks start as states whose future-span rows agree within FUTURE_TOL,
+    Blocks start as states whose next-symbol rows agree within FUTURE_TOL,
     then split while members send a symbol to different blocks or to none
-    (Moore's refinement), since a tolerance cannot see futures that differ
-    only on rarer words. Block order (and merged state labels) follow the
+    (Moore's refinement). Block order (and merged state labels) follow the
     first member in input order.
     """
     if not m.unifilar:
@@ -81,8 +81,8 @@ def minimize_to_causal(m: ValidatedMachine) -> CausalMachine:
     E = m.emission_matrix()
     succ = m.successors()
 
-    apart = np.zeros((n, n))  # max over span words of |P(w | i) - P(w | j)|
-    for f in m.future_span().T:
+    apart = np.zeros((n, n))  # max over symbols of |P(x | i) - P(x | j)|
+    for f in E.T:
         np.maximum(apart, np.abs(f[:, None] - f[None, :]), out=apart)
     block = (apart <= FUTURE_TOL).argmax(axis=1).tolist()  # each named by a member
     while True:
@@ -259,7 +259,6 @@ def refine_memory(c: CausalMachine, kernel: RefinementKernel) -> PrescientMemory
                 alphabet=machine.alphabet,
                 states=tuple(states),
                 transitions=tuple(transitions),
-                default_distribution=machine.default_distribution,
             )
         )
     except DisconnectedError as exc:
@@ -393,32 +392,23 @@ def random_kernel(
 def prescience_gap(
     machine: ValidatedMachine, causal_map: dict[str, str], base: CausalMachine
 ) -> float:
-    """How far a memory's futures stray from its causal classes' futures.
-
-    With B the base's future span and M the 0/1 memory-state -> class
-    map, the gap is max_x |T_mem[x] @ (M B) - M (T_base[x] @ B)|. In exact
-    arithmetic it is 0 iff every memory state gives every word its
-    class's probability: by induction on word length, since B spans every
-    base word's column. B is cut at FUTURE_TOL, so futures that differ
-    only on words rarer than that give a gap below it.
-    """
+    """max over m and x of |P(x | m) - P(x | class(m))|: how far a memory
+    state's next-symbol row strays from its causal class's."""
     if machine.alphabet.symbols != base.machine.alphabet.symbols:
         raise MachineSpecError("candidate and causal alphabets differ")
     missing = set(machine.states) - set(causal_map)
     if missing:
         raise MachineSpecError(f"states missing from causal map: {sorted(missing)}")
-    B = base.machine.future_span()
     classes = [base.machine.state_index(causal_map[u]) for u in machine.states]
-    return max(
-        float(np.abs(t_mem @ B[classes] - (t_base @ B)[classes]).max())
-        for t_mem, t_base in zip(machine.symbol_matrices(), base.machine.symbol_matrices())
-    )
+    E_base = base.machine.emission_matrix()
+    return float(np.abs(machine.emission_matrix() - E_base[classes]).max())
 
 
 def _require_prescient(machine, causal_map, base: CausalMachine, what: str) -> None:
     """Refuse a memory unless every positive edge m -x-> m' lands in the
     class the base's x-edge from class(m) reaches, which is exact, and its
-    prescience gap is within FUTURE_TOL."""
+    prescience gap is within FUTURE_TOL. By induction on word length, each
+    word w then has within |w| * gap of its class's probability."""
     gap = prescience_gap(machine, causal_map, base)
     classes = np.array([base.machine.state_index(causal_map[u]) for u in machine.states])
     xs, us, vs = np.nonzero(machine.symbol_matrices())

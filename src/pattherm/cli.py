@@ -2,7 +2,7 @@
 
 Subcommands: analyze, costs, sweep, simulate, minimize. Exit codes are
 stable API: 0 success, 2 parse/validation failure, 3 prescience
-violation, 4 block budget exceeded, 5 unifilarity required.
+violation, 4 block budget or memory exceeded, 5 unifilarity required.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ EXIT_UNIFILAR = 5
 # first match wins; every other PatthermError exits 1
 EXIT_CODES = (
     (PrescienceViolationError, EXIT_PRESCIENCE),
-    (BlockTooLargeError, EXIT_BLOCK_BUDGET),
+    ((BlockTooLargeError, MemoryError), EXIT_BLOCK_BUDGET),
     (UnifilarRequiredError, EXIT_UNIFILAR),
     ((MachineSpecError, KernelError, DistributionError, OSError), EXIT_VALIDATION),
     (PatthermError, 1),
@@ -105,7 +105,7 @@ def _add_memory_flag(p):
                    help="'causal' or path to a kernel/memory JSON file")
 
 
-def _parse_k_range(text: str) -> list[int]:
+def _parse_k_range(text: str) -> range:
     try:
         if ":" in text:
             lo_s, hi_s = text.split(":", 1)
@@ -116,7 +116,7 @@ def _parse_k_range(text: str) -> list[int]:
         raise MachineSpecError(f"bad k range {text!r}: expected K or LOW:HIGH") from None
     if hi < lo or lo < 1:
         raise MachineSpecError(f"bad k range {text!r}: need 1 <= low <= high")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def cmd_analyze(args) -> int:
@@ -289,8 +289,8 @@ def main(argv=None) -> int:
         )
         try:
             return args.func(args)
-        except (PatthermError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (PatthermError, OSError, MemoryError) as exc:
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
             return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 

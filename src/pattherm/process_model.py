@@ -4,7 +4,8 @@ A machine is a set of states with probabilistic symbol-emitting
 transitions. Validation enforces the standing assumptions of the cost
 calculus: stochastic rows, a single recurrent communicating class
 (ergodicity), and a verified unifilarity flag. All exact queries (the
-stationary distribution, joint block tables, word distributions) and the
+stationary distribution, the next-symbol rows and successor table, word
+tables grown one symbol at a time, the dense joint block table) and the
 seeded path sampler live here, together with the JSON machine-file
 format.
 """
@@ -32,7 +33,6 @@ from .info_measures import FiniteDistribution, JointTable, entropy_bits, uniform
 
 ROW_TOL = 1e-12
 DEFAULT_BLOCK_BUDGET = 1 << 16  # max number of words in any block enumeration
-FUTURE_TOL = 1e-9  # word-probability agreement that counts as the same future
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,15 @@ class ValidatedMachine:
 
     def check_budget(self, length: int, block_budget: int | None = None) -> int:
         budget = DEFAULT_BLOCK_BUDGET if block_budget is None else block_budget
-        n_words = len(self.alphabet) ** length
+        a = len(self.alphabet)
+        # past the budget's bit length a^length exceeds it (a >= 2) and can
+        # be too large an integer to build or print
+        if a > 1 and length > budget.bit_length():
+            raise BlockTooLargeError(f"{a}^{length} words exceeds budget {budget}")
+        n_words = a**length
         if n_words > budget:
             raise BlockTooLargeError(
-                f"{len(self.alphabet)}^{length} = {n_words} words exceeds "
-                f"budget {budget}"
+                f"{a}^{length} = {n_words} words exceeds budget {budget}"
             )
         return n_words
 
@@ -176,44 +180,6 @@ class ValidatedMachine:
         by one leading symbol: column c * |A| + x of the result is symbol x
         followed by word w_c."""
         return (self._symbol_matrices @ cols).transpose(1, 2, 0).reshape(self.n_states, -1)
-
-    def future_span(self) -> np.ndarray:
-        """F[i, c] = P(next symbols form word w_c | state i), for words w_c
-        whose columns span, up to FUTURE_TOL, the column of every word.
-
-        Breadth-first over words from the empty word, the all-ones
-        column; each level prepends every symbol to the words the last
-        level kept, f -> T[x] @ f. A word is kept only if its column
-        leaves the span of the columns kept before it by more than
-        FUTURE_TOL, so at most n words are kept and no length bound is
-        needed (Schutzenberger 1961; Tzeng 1992). The cut is absolute: a
-        direction that only words rarer than FUTURE_TOL reach is not kept.
-        """
-        n = self.n_states
-        basis = np.zeros((n, n))  # orthonormal basis of the kept columns, zero-padded
-        kept: list[np.ndarray] = []
-        level = np.ones((n, 1))
-        while True:
-            start = len(kept)
-            residual = _residual(basis[:, :start], level)
-            for j in np.flatnonzero(np.linalg.norm(residual, axis=0) > FUTURE_TOL):
-                # words of one level can share a new direction
-                r = _residual(basis[:, start : len(kept)], residual[:, j])
-                norm = float(np.linalg.norm(r))
-                if norm > FUTURE_TOL:
-                    basis[:, len(kept)] = r / norm
-                    kept.append(level[:, j])
-            if len(kept) == start:
-                return np.column_stack(kept)
-            level = self.prepend_symbols(np.column_stack(kept[start:]))
-
-
-def _residual(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """v less its projection on the orthonormal columns of `basis`, taken
-    twice because one pass leaves rounding-size overlap."""
-    for _ in range(2):
-        v = v - basis @ (basis.T @ v)
-    return v
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Everything here is deliberately dumb: pure-Python dict arithmetic over
 explicit edge products, with the stationary distribution found by power
 iteration. None of it shares code with the package's numpy pipelines, so
 agreement between the two is meaningful evidence. `moore_partition` is
-the Moore refinement that `minimize_to_causal`'s future-span grouping
-must reproduce block for block. The einsum references
+the Moore refinement that `minimize_to_causal` must reproduce block for
+block. The einsum references
 at the end are the sum-of-products forms of the package's matmul
 kernels, kept to check those kernels' index layout. The per-draw
 samplers at the end are the step-by-step loops that the package's path

@@ -28,10 +28,16 @@ from pattherm import (
     synchronization_profile,
     validate_machine,
 )
-from pattherm.causal_structure import CausalMachine, load_memory_file, parse_kernel
+from pattherm.causal_structure import (
+    FUTURE_TOL,
+    _require_prescient,
+    load_memory_file,
+    parse_kernel,
+    parse_memory_machine,
+)
 from pattherm.cli import main
 from pattherm.info_measures import entropy_bits
-from pattherm.process_model import FUTURE_TOL, machine_to_dict
+from pattherm.process_model import machine_to_dict
 
 from .oracles import (
     bayes_sync_residual,
@@ -40,6 +46,7 @@ from .oracles import (
     moore_partition,
     total_variation,
 )
+from .test_cli import MACHINES
 
 HB9 = binary_entropy(0.9)
 
@@ -346,8 +353,14 @@ class TestPrescienceCheck:
         assert gap >= 1.0 / 3.0 - 1e-12
 
     def test_period_seven_witness_rejected(self):
-        # agrees with its classes on every word up to length 4, not on "00001"
-        assert prescience_gap(*period_seven_witness()) >= 1.0 - 1e-12
+        # every state emits what its class emits, so the gap is 0; it agrees
+        # with its classes on every word up to length 4, not on "00001", and
+        # the edge check sees that at once
+        memory, causal_map, base = period_seven_witness()
+        assert prescience_gap(memory, causal_map, base) == 0.0
+        data = {"machine": machine_to_dict(memory), "causal_map": causal_map}
+        with pytest.raises(PrescienceViolationError, match="edge 'P0' --'0'--> 'P1'"):
+            parse_memory_machine(data, base, "p7_as_p6")
 
     def test_period_seven_witness_exits_3(self, tmp_path, capsys):
         memory, causal_map, base = period_seven_witness()
@@ -388,16 +401,18 @@ class TestPrescienceCheck:
         st.integers(0, 2**32 - 1),
         st.none() | st.tuples(st.integers(0, 8), st.integers(0, 8)),
     )
-    # Q0 and Q1 first differ on words of length 7; a span cut after
-    # length-4 words lets the gap see only up to length 5
+    # Q0 and Q1 emit alike and first differ on words of length 7; only
+    # the edge check tells them apart
     @example(cycle_machine("00000001"), 0, (0, 1))
     @settings(max_examples=80, deadline=None)
     def test_gap_zero_iff_words_agree_to_tzeng_bound(self, m, seed, swap):
         """A random-kernel memory, and the same memory with two classes
         swapped in its causal map. Tzeng's bound: if every word up to
-        length n_mem + n_base - 1 agrees, every word agrees. The gap does
-        not need a minimal base, so the base is not minimized here."""
-        base = CausalMachine(machine=m, projection={s: s for s in m.states})
+        length n_mem + n_base - 1 agrees, every word agrees. The library
+        checks memories only against a causal base, so the base is
+        minimized, and the full check (edges, then the gap) must accept
+        exactly the maps under which those words agree."""
+        base = minimize_to_causal(m)
         mem = refine_memory(base, random_kernel(base, np.random.default_rng(seed)))
         causal_map = dict(mem.causal_map)
         if swap is not None:
@@ -411,8 +426,65 @@ class TestPrescienceCheck:
             want = brute_word_distribution(base.machine, causal_map[u], length)
             for w in set(got) | set(want):
                 deviation = max(deviation, abs(got.get(w, 0.0) - want.get(w, 0.0)))
-        gap = prescience_gap(mem.machine, causal_map, base)
-        assert (gap <= FUTURE_TOL) == (deviation <= FUTURE_TOL), (gap, deviation)
+        try:
+            _require_prescient(mem.machine, causal_map, base, "swapped memory")
+            accepted = True
+        except PrescienceViolationError:
+            accepted = False
+        assert accepted == (deviation <= FUTURE_TOL), deviation
+
+    def test_rows_off_by_1e6_exit_3(self, pc_memories, tmp_path, capsys):
+        # every edge of the split memory lands in the right class, but L~0
+        # moves 1e-6 of its mass from R to L
+        mem = pc_memories["split50"]
+        data = machine_to_dict(mem.machine)
+        for t in data["transitions"]:
+            if (t["from"], t["symbol"], t["to"]) == ("L~0", "R", "R~0"):
+                t["p"] -= 1e-6
+            if (t["from"], t["symbol"], t["to"]) == ("L~0", "L", "L~0"):
+                t["p"] += 1e-6
+        memory_path = tmp_path / "split50_off.json"
+        memory_path.write_text(json.dumps(
+            {"kind": "machine", "machine": data, "causal_map": mem.causal_map}
+        ))
+        argv = ["costs", str(MACHINES / "pc09.json"), "--memory", str(memory_path), "-k", "1"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: memory machine deviates from causal morphs by 1.000e-06\n"
+
+    @given(
+        coarse_unifilar(max_states=4),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 0.05),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_word_deviation_within_length_times_gap(self, m, seed, eps):
+        """A random-kernel memory whose next-symbol rows are moved off their
+        classes' by up to eps, keeping every edge in its class: every word w
+        deviates by at most |w| times the prescience gap."""
+        base = minimize_to_causal(m)
+        rng = np.random.default_rng(seed)
+        mem = refine_memory(base, random_kernel(base, rng))
+        E = mem.machine.emission_matrix()
+        support = E > 0.0
+        shift = np.where(support, rng.uniform(-eps, eps, E.shape), 0.0)
+        shift -= support * shift.sum(axis=1, keepdims=True) / support.sum(axis=1, keepdims=True)
+        scale = (E + shift) / np.where(support, E, 1.0)
+        symbols, states = mem.machine.alphabet.symbols, mem.machine.states
+        moved = validate_machine(MachineSpec(mem.machine.alphabet, states, tuple(
+            tr._replace(p=tr.p * scale[states.index(tr.frm), symbols.index(tr.symbol)])
+            for tr in mem.machine.transitions
+        )))
+        gap = prescience_gap(moved, mem.causal_map, base)
+        for u in states:
+            want = {w: p for L in range(1, 7) for w, p in brute_word_distribution(
+                base.machine, mem.causal_map[u], L).items()}
+            got = {w: p for L in range(1, 7) for w, p in brute_word_distribution(
+                moved, u, L).items()}
+            for w in set(got) | set(want):
+                deviation = abs(got.get(w, 0.0) - want.get(w, 0.0))
+                assert deviation <= len(w) * gap + 1e-12, (w, deviation, gap)
 
 
 class TestDeterminismCheck:

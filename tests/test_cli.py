@@ -11,7 +11,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pattherm import machine_to_dict, minimize_to_causal, thermo_costs, validate_machine
+from pattherm import (
+    machine_to_dict,
+    minimize_to_causal,
+    previous_state_kernel,
+    refine_memory,
+    thermo_costs,
+    validate_machine,
+)
 from pattherm.cli import main
 from pattherm.machines import (
     even_process,
@@ -214,6 +221,35 @@ class TestCosts:
         assert rows[1][:-1] == rows[0][:-1]
         assert float(rows[0][1]) == pytest.approx(0.0, abs=1e-9)  # W_tape
 
+    def test_exported_refined_memory_is_accepted(self, tmp_path, capsys):
+        # a kernel memory written out as a machine carries no default of its
+        # own, so it loads and prints its kernel's row
+        machine = _machine_file(tmp_path, default_distribution={"L": 0.9, "R": 0.1})
+        causal = minimize_to_causal(validate_machine(load_machine_file(machine)))
+        kernel = previous_state_kernel(causal)
+        kernel_path = tmp_path / "prev.json"
+        kernel_path.write_text(json.dumps({
+            "kind": "kernel",
+            "sub_states": {s: list(us) for s, us in kernel.sub_states.items()},
+            "rules": [
+                {"target": r.target, "source_class": r.source_class, "p": r.probs}
+                for r in kernel.rules
+            ],
+        }))
+        mem = refine_memory(causal, kernel)
+        memory_path = tmp_path / "exported" / "prev.json"
+        memory_path.parent.mkdir()
+        memory_path.write_text(json.dumps({
+            "kind": "machine",
+            "machine": machine_to_dict(mem.machine),
+            "causal_map": mem.causal_map,
+        }))
+        rows = []
+        for selector in (kernel_path, memory_path):
+            assert main(["costs", machine, "--memory", str(selector), "-k", "2", "--csv"]) == 0
+            rows.append(capsys.readouterr().out)
+        assert rows[1] == rows[0]
+
     def test_non_prescient_memory_exits_3(self, pc_file, tmp_path, capsys):
         data = {
             "kind": "machine",
@@ -246,6 +282,13 @@ class TestCosts:
 
     def test_block_budget_exits_4(self, pc_file):
         assert main(["costs", pc_file, "-k", "30"]) == 4
+
+    def test_huge_k_exits_4_with_one_line(self, pc_file, capsys):
+        # 2^100000 has more digits than Python will format
+        assert main(["costs", pc_file, "-k", "100000", "--csv"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 2^100000 words exceeds budget 65536\n"
 
 
 class TestSweep:
@@ -286,6 +329,14 @@ class TestSweep:
     def test_bad_range_rejected(self, pc_file, capsys):
         assert main(["sweep", pc_file, "--k-range", "5:2"]) == 2
 
+    def test_huge_range_exits_4(self, pc_file, capsys):
+        # the strides are never listed; the first one over budget refuses
+        assert main(["sweep", pc_file, "--k-range", "1:1000000000000"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
     @pytest.mark.parametrize("memory", [[], ["--memory", str(MACHINES / "kernels" / "pc_split50.json")]])
     def test_rows_match_costs_byte_for_byte(self, memory, capsys):
         # sweep extends one stride's tables to the next; costs builds each from scratch
@@ -311,6 +362,14 @@ class TestSimulate:
         assert emp == pytest.approx(HB9, abs=0.03)
         lines = out_path.read_text().strip().split("\n")
         assert len(lines) == 5001
+
+    def test_unallocatable_run_exits_4(self, pc_file, capsys):
+        # 10^17 blocks need 800 PB of uniforms, beyond any 64-bit address space
+        assert main(["simulate", pc_file, "-k", "1", "-n", "100000000000000000"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_identical_bytes_for_same_seed(self, pc_file, tmp_path):
         paths = []
