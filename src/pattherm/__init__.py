@@ -58,7 +58,6 @@ from .process_model import (
     Alphabet,
     JointBlockDistribution,
     MachineSpec,
-    StationaryDistribution,
     Transition,
     ValidatedMachine,
     joint_block_distribution,

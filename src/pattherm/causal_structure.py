@@ -27,6 +27,7 @@ from .process_model import (
     MachineSpec,
     Transition,
     ValidatedMachine,
+    _check_labels,
     parse_machine,
     validate_machine,
 )
@@ -48,7 +49,7 @@ class CausalMachine:
     @property
     def complexity(self) -> float:
         """Statistical complexity C = H(pi) of the causal presentation."""
-        return self.machine.stationary().entropy()
+        return entropy_bits(self.machine.stationary())
 
 
 def statistical_complexity(c: CausalMachine) -> float:
@@ -135,7 +136,7 @@ class PrescientMemory:
 
     def memory_entropy(self) -> float:
         """H(R): entropy of the stationary memory-state distribution."""
-        return self.machine.stationary().entropy()
+        return entropy_bits(self.machine.stationary())
 
     @property
     def is_minimal(self) -> bool:
@@ -436,13 +437,11 @@ class DeterminismCheck:
         return self.ok
 
 
-def check_determinism(
-    mem: PrescientMemory, k: int, block_budget: int | None = None
-) -> DeterminismCheck:
+def check_determinism(mem: PrescientMemory, k: int) -> DeterminismCheck:
     """True iff the final memory state is fixed by (initial state, block)."""
     from .process_model import joint_block_distribution
 
-    table = joint_block_distribution(mem.machine, k, block_budget).table
+    table = joint_block_distribution(mem.machine, k).table
     residual = max(table.entropy() - table.entropy(("state_in", "word")), 0.0)
     return DeterminismCheck(ok=residual < DETERMINISM_TOL, residual=residual)
 
@@ -452,7 +451,6 @@ class SynchronizationProfile:
     """Residual memory-state uncertainty after observing L past symbols."""
 
     entries: tuple[tuple[int, float], ...]
-    threshold: float = SYNC_TOL
 
     def residual(self, L: int) -> float:
         for length, value in self.entries:
@@ -462,16 +460,14 @@ class SynchronizationProfile:
 
     @property
     def sync_at(self) -> int | None:
-        """Smallest observed depth with residual below threshold, if any."""
+        """Smallest observed depth with residual below SYNC_TOL, if any."""
         for length, value in self.entries:
-            if value < self.threshold:
+            if value < SYNC_TOL:
                 return length
         return None
 
 
-def synchronization_profile(
-    mem, L_max: int, block_budget: int | None = None
-) -> SynchronizationProfile:
+def synchronization_profile(mem, L_max: int) -> SynchronizationProfile:
     """H(R^t | last L symbols) for L = 1..L_max, from the stationary joint.
 
     One forward pass: the word-state table for L extends the one for L-1.
@@ -480,7 +476,7 @@ def synchronization_profile(
     entries = []
     joint = machine.word_state_vectors(0)
     for L in range(1, L_max + 1):
-        machine.check_budget(L, block_budget)
+        machine.check_budget(L)
         joint = machine.extend_words(joint)
         residual = entropy_bits(joint) - entropy_bits(joint.sum(axis=1))
         entries.append((L, max(residual, 0.0)))
@@ -582,6 +578,7 @@ def _file_name(data: dict, default: str) -> str:
     name = data.get("name", default)
     if not isinstance(name, str):
         raise KernelError(f"'name' must be a string, got {name!r}")
+    _check_labels([name], "memory name")
     return name
 
 

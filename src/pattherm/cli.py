@@ -12,6 +12,7 @@ import sys
 import warnings
 
 from .causal_structure import (
+    SYNC_TOL,
     as_causal,
     causal_memory,
     load_memory_file,
@@ -137,7 +138,7 @@ def cmd_analyze(args) -> int:
             else f"NOT converged by L={e.stopped_at}")
     print(f"excess entropy E = {e.value:.9f} bits ({flag})")
     if profile.sync_at is not None:
-        print(f"synchronization: residual < {profile.threshold:g} at L={profile.sync_at}")
+        print(f"synchronization: residual < {SYNC_TOL:g} at L={profile.sync_at}")
     else:
         print(f"synchronization: unsynchronized at L={args.sync_depth}")
     for L, residual in profile.entries:
@@ -279,9 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()  # parse_args keeps no state, so every main call shares it
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     with warnings.catch_warnings():
         # one stderr line per warning, without the source location
         warnings.showwarning = lambda message, *_: print(

@@ -189,11 +189,11 @@ def run_cycle(cfg: SimConfig):
     )
 
     # start synchronized: one causal class, private sub-state draws
-    base_pi = mem.base.machine.stationary().probs
+    base_pi = mem.base.machine.stationary()
     class0 = _draws(base_pi, pattern_u[:1])[0]
     class_label = mem.base.machine.states[class0]
     in_class = np.array([mem.causal_map[s] == class_label for s in states])
-    weights = machine.stationary().probs * in_class
+    weights = machine.stationary() * in_class
     if weights.sum() <= 0.0:
         weights = in_class.astype(float)
     gen_state, ext_state = _draws(weights, [gen_u[0], ext_u[0]])

@@ -42,7 +42,7 @@ class SingularSolveError(PatthermError):
 
 
 class BlockTooLargeError(PatthermError):
-    """Requested block enumeration exceeds the configured word budget."""
+    """Requested word table exceeds the word budget, DEFAULT_BLOCK_BUDGET."""
 
 
 class AxisError(PatthermError):

@@ -148,7 +148,7 @@ class JointTable:
 
 def symbol_entropy_given_state(m) -> float:
     """H(X^{t+1} | R^t) of a validated machine at its stationary state."""
-    pi = m.stationary().probs
+    pi = m.stationary()
     return float(-(pi[:, None] * plogp(m.emission_matrix())).sum()) + 0.0
 
 
@@ -163,7 +163,7 @@ def entropy_rate(m) -> float:
     return symbol_entropy_given_state(as_causal(m).machine)
 
 
-def block_entropy(m, length: int, block_budget: int | None = None) -> float:
+def block_entropy(m, length: int) -> float:
     """Entropy of the stationary length-`length` word distribution, in bits.
 
     P(w x) = sum_i A[w, i] E[i, x] over the length-1 shorter word-state
@@ -171,8 +171,8 @@ def block_entropy(m, length: int, block_budget: int | None = None) -> float:
     """
     if length == 0:
         return 0.0
-    m.check_budget(length, block_budget)
-    words = m.word_state_vectors(length - 1, block_budget)
+    m.check_budget(length)
+    words = m.word_state_vectors(length - 1)
     return entropy_bits(words @ m.emission_matrix())
 
 
@@ -184,7 +184,6 @@ class ExcessEntropyResult:
     converged: bool
     stopped_at: int
     history: tuple[tuple[int, float], ...]
-    tol: float
 
     def __float__(self):
         return self.value
@@ -197,19 +196,14 @@ class ExcessEntropyResult:
         return max(1, self.stopped_at - 1)
 
 
-def excess_entropy(
-    m,
-    L_max: int = 12,
-    tol: float = 1e-9,
-    block_budget: int | None = None,
-) -> ExcessEntropyResult:
+def excess_entropy(m, L_max: int = 12, tol: float = 1e-9) -> ExcessEntropyResult:
     """Past/future mutual information E, by block convergence.
 
     Computes E(L) = I(X^{-L+1..0}; X^{1..L}) = 2*H(L) - H(2L) for growing L
     and stops once successive values differ by less than `tol`. If L_max
-    (or the block budget, which caps the 2L-word enumeration) is reached
-    first, the last value is returned flagged non-converged and a
-    NonConvergedWarning is issued.
+    is reached first, or 2L words would pass the word budget
+    (`check_budget`), the last value is returned flagged non-converged and
+    a NonConvergedWarning is issued.
 
     One forward pass: H(j + 1) comes from the length-j word-state table as
     in `block_entropy`, and each table extends the previous one by a
@@ -224,8 +218,7 @@ def excess_entropy(
     prev = None
     for L in range(1, L_max + 1):
         try:
-            m.check_budget(L, block_budget)
-            m.check_budget(2 * L, block_budget)
+            m.check_budget(2 * L)
         except BlockTooLargeError:
             break
         while len(blocks) <= 2 * L:
@@ -234,10 +227,10 @@ def excess_entropy(
         e_l = 2.0 * blocks[L] - blocks[2 * L]
         history.append((L, e_l))
         if prev is not None and abs(e_l - prev) < tol:
-            return ExcessEntropyResult(e_l, True, L, tuple(history), tol)
+            return ExcessEntropyResult(e_l, True, L, tuple(history))
         if prev is None and e_l < tol:
             # i.i.d. case: E(1) already indistinguishable from zero
-            return ExcessEntropyResult(e_l, True, L, tuple(history), tol)
+            return ExcessEntropyResult(e_l, True, L, tuple(history))
         prev = e_l
     value = history[-1][1] if history else 0.0
     stopped = history[-1][0] if history else 0
@@ -246,4 +239,4 @@ def excess_entropy(
         NonConvergedWarning,
         stacklevel=2,
     )
-    return ExcessEntropyResult(value, False, stopped, tuple(history), tol)
+    return ExcessEntropyResult(value, False, stopped, tuple(history))

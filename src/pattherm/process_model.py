@@ -3,11 +3,11 @@
 A machine is a set of states with probabilistic symbol-emitting
 transitions. Validation enforces the standing assumptions of the cost
 calculus: stochastic rows, a single recurrent communicating class
-(ergodicity), and a verified unifilarity flag. All exact queries (the
+(ergodicity); unifilarity is read off the edges. All exact queries (the
 stationary distribution, the next-symbol rows and successor table, word
 tables grown one symbol at a time, the dense joint block table) and the
 seeded path sampler live here, together with the JSON machine-file
-format.
+format. Every word table is capped by DEFAULT_BLOCK_BUDGET words.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from .errors import (
     SingularSolveError,
     UnifilarRequiredError,
 )
-from .info_measures import FiniteDistribution, JointTable, entropy_bits, uniform_distribution
+from .info_measures import FiniteDistribution, JointTable, uniform_distribution
 
 ROW_TOL = 1e-12
-DEFAULT_BLOCK_BUDGET = 1 << 16  # max number of words in any block enumeration
+DEFAULT_BLOCK_BUDGET = 1 << 16  # max words in any word table; read by check_budget alone
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,11 @@ class Transition(NamedTuple):
 
 @dataclass(frozen=True)
 class MachineSpec:
-    """Unvalidated machine description, as parsed from user input.
-
-    `unifilar`, when given, is a declaration checked against the actual
-    edge structure during validation.
-    """
+    """Unvalidated machine description, as parsed from user input."""
 
     alphabet: Alphabet
     states: tuple[str, ...]
     transitions: tuple[Transition, ...]
-    unifilar: bool | None = None
     default_distribution: FiniteDistribution | None = None
 
 
@@ -138,13 +133,15 @@ class ValidatedMachine:
         j = self.successors()[self.state_index(state), self.alphabet.index(symbol)]
         return self.states[j] if j >= 0 else None
 
-    def stationary(self) -> "StationaryDistribution":
+    def stationary(self) -> np.ndarray:
+        """pi[i], the stationary probability of state i."""
         if not self._stationary_cache:
             self._stationary_cache.append(stationary_distribution(self))
         return self._stationary_cache[0]
 
-    def check_budget(self, length: int, block_budget: int | None = None) -> int:
-        budget = DEFAULT_BLOCK_BUDGET if block_budget is None else block_budget
+    def check_budget(self, length: int) -> int:
+        """|A|^length, or BlockTooLargeError past DEFAULT_BLOCK_BUDGET words."""
+        budget = DEFAULT_BLOCK_BUDGET
         a = len(self.alphabet)
         # past the budget's bit length a^length exceeds it (a >= 2) and can
         # be too large an integer to build or print
@@ -157,12 +154,10 @@ class ValidatedMachine:
             )
         return n_words
 
-    def word_state_vectors(
-        self, length: int, block_budget: int | None = None
-    ) -> np.ndarray:
+    def word_state_vectors(self, length: int) -> np.ndarray:
         """A[w, j] = P(emit word w from stationarity and land in state j)."""
-        self.check_budget(length, block_budget)
-        vec = self.stationary().probs[None, :].copy()
+        self.check_budget(length)
+        vec = self.stationary()[None, :].copy()
         for _ in range(length):
             vec = self.extend_words(vec)
         return vec
@@ -180,20 +175,6 @@ class ValidatedMachine:
         by one leading symbol: column c * |A| + x of the result is symbol x
         followed by word w_c."""
         return (self._symbol_matrices @ cols).transpose(1, 2, 0).reshape(self.n_states, -1)
-
-
-@dataclass(frozen=True)
-class StationaryDistribution:
-    """Unique fixed point pi of the symbol-marginalized transition matrix."""
-
-    machine: ValidatedMachine
-    probs: np.ndarray
-
-    def entropy(self) -> float:
-        return entropy_bits(self.probs)
-
-    def probability(self, state: str) -> float:
-        return float(self.probs[self.machine.state_index(state)])
 
 
 def _recurrent_classes(adjacency: np.ndarray) -> list[list[int]]:
@@ -215,6 +196,14 @@ def _recurrent_classes(adjacency: np.ndarray) -> list[list[int]]:
     return [np.flatnonzero(reach[i]).tolist() for i in sorted(firsts)]
 
 
+def _check_labels(labels, what: str) -> None:
+    """Refuse a label that would break a printed CSV row: `costs` and
+    `sweep` print memory ids, `simulate` traces symbols and states."""
+    for label in labels:
+        if any(c in label for c in ',"\n\r'):
+            raise MachineSpecError(f"{what} {label!r} may not hold a comma, quote or line break")
+
+
 def validate_machine(spec: MachineSpec) -> ValidatedMachine:
     """Check a machine spec and return the validated handle.
 
@@ -228,6 +217,8 @@ def validate_machine(spec: MachineSpec) -> ValidatedMachine:
         raise MachineSpecError("machine has no states")
     if len(set(states)) != len(states):
         raise MachineSpecError(f"duplicate state labels in {states!r}")
+    _check_labels(alphabet.symbols, "symbol")
+    _check_labels(states, "state label")
     n, a = len(states), len(alphabet)
     state_ix = {s: i for i, s in enumerate(states)}
 
@@ -257,11 +248,6 @@ def validate_machine(spec: MachineSpec) -> ValidatedMachine:
             raise RowSumError(states[i], float(total))
 
     unifilar = bool(np.all((T > 0.0).sum(axis=2) <= 1))
-    if spec.unifilar is not None and spec.unifilar != unifilar:
-        raise MachineSpecError(
-            f"machine declared unifilar={spec.unifilar} but edge structure "
-            f"says {unifilar}"
-        )
 
     adjacency = T.sum(axis=0) > 0.0
     recurrent = _recurrent_classes(adjacency)
@@ -291,7 +277,7 @@ def validate_machine(spec: MachineSpec) -> ValidatedMachine:
     )
 
 
-def stationary_distribution(m: ValidatedMachine) -> StationaryDistribution:
+def stationary_distribution(m: ValidatedMachine) -> np.ndarray:
     """Solve pi T = pi, sum(pi) = 1 by least squares."""
     n = m.n_states
     T = m.state_matrix()
@@ -305,7 +291,7 @@ def stationary_distribution(m: ValidatedMachine) -> StationaryDistribution:
     pi /= pi.sum()
     if np.abs(pi @ T - pi).max() > 1e-9:
         raise SingularSolveError("stationary fixed-point residual too large")
-    return StationaryDistribution(m, pi)
+    return pi
 
 
 @dataclass(frozen=True)
@@ -323,9 +309,7 @@ class JointBlockDistribution:
     table: JointTable
 
 
-def joint_block_distribution(
-    m: ValidatedMachine, k: int, block_budget: int | None = None
-) -> JointBlockDistribution:
+def joint_block_distribution(m: ValidatedMachine, k: int) -> JointBlockDistribution:
     """Forward-propagate pi over all length-k words.
 
     Returns the exact joint distribution of (state before the block, the k
@@ -333,10 +317,10 @@ def joint_block_distribution(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    m.check_budget(k, block_budget)
+    m.check_budget(k)
     n = m.n_states
     # row r * |A|^k + w: start in state r, then emit word w
-    cur = np.diag(m.stationary().probs)
+    cur = np.diag(m.stationary())
     for _ in range(k):
         cur = m.extend_words(cur)
     return JointBlockDistribution(
@@ -395,7 +379,7 @@ def sample_path(m: ValidatedMachine, seed: int, n: int):
     state_rows = _sampling_rows(m.step_matrix())
     edge_rows = [state_rows[e % n_states] for e in range(len(m.alphabet) * n_states)]
     draws = np.random.default_rng(seed).random(n + 1)
-    start = _draws(m.stationary().probs, draws[:1])[0]
+    start = _draws(m.stationary(), draws[:1])[0]
     edges = _walk(edge_rows, state_rows[start], draws[1:].tolist())
     states = [m.states[start]] + [m.states[e % n_states] for e in edges]
     symbols = [m.alphabet.symbols[e // n_states] for e in edges]

@@ -113,7 +113,7 @@ class BlockEntropies:
         return self.state_in + self.k * self.h
 
 
-def block_entropies(mem: PrescientMemory, ks, block_budget: int | None = None):
+def block_entropies(mem: PrescientMemory, ks):
     """BlockEntropies at each stride in `ks`, in one pass over two tables.
 
     The forward table F[i, w] = P(w | R_in = i), n x |A|^k, grows by
@@ -126,8 +126,8 @@ def block_entropies(mem: PrescientMemory, ks, block_budget: int | None = None):
     for k in ks:
         if k < 1:
             raise ValueError("k must be >= 1")
-        machine.check_budget(k, block_budget)
-    pi = machine.stationary().probs
+        machine.check_budget(k)
+    pi = machine.stationary()
     h = symbol_entropy_given_state(machine)
     h_state = entropy_bits(pi)
     out = []
@@ -156,9 +156,9 @@ def block_entropies(mem: PrescientMemory, ks, block_budget: int | None = None):
     return out
 
 
-def _dense_entropies(mem: PrescientMemory, k: int, block_budget) -> BlockEntropies:
+def _dense_entropies(mem: PrescientMemory, k: int) -> BlockEntropies:
     """BlockEntropies from marginals of the (R_in, W, R_out) table."""
-    t = joint_block_distribution(mem.machine, k, block_budget).table
+    t = joint_block_distribution(mem.machine, k).table
     h_word = t.entropy("word")
     return BlockEntropies(
         k=k,
@@ -193,15 +193,11 @@ class DissipationCost:
     eq5: float
 
     @property
-    def value(self) -> float:
-        return self.eq3
-
-    @property
     def max_disagreement(self) -> float:
         return max(abs(self.eq2 - self.eq3), abs(self.eq3 - self.eq5))
 
 
-def dissipation_cost(m, k: int, block_budget: int | None = None) -> DissipationCost:
+def dissipation_cost(m, k: int) -> DissipationCost:
     """Dissipative work of updating the memory across a k-symbol block.
 
     The three routes read different entropies (see DissipationCost) and
@@ -209,7 +205,7 @@ def dissipation_cost(m, k: int, block_budget: int | None = None) -> DissipationC
     bookkeeping itself, or the memory's prescience, is broken.
     """
     mem = _as_memory(m)
-    return _dissipation(block_entropies(mem, [k], block_budget)[0])
+    return _dissipation(block_entropies(mem, [k])[0])
 
 
 def _dissipation(e: BlockEntropies) -> DissipationCost:
@@ -235,12 +231,12 @@ def dissipation_limit(m, excess) -> float:
     return _as_memory(m).memory_entropy() - float(excess)
 
 
-def convergence_gaps(m, ks, excess=None, block_budget: int | None = None):
+def convergence_gaps(m, ks, excess=None):
     """|W_diss(k) - (H(R) - E)| for each k, in bits."""
     mem = _as_memory(m)
-    entropies = block_entropies(mem, ks, block_budget)
+    entropies = block_entropies(mem, ks)
     if excess is None:
-        excess = excess_entropy(mem.base.machine, block_budget=block_budget)
+        excess = excess_entropy(mem.base.machine)
     limit = dissipation_limit(mem, excess)
     return tuple(abs(_dissipation(e).eq3 - limit) for e in entropies)
 
@@ -260,14 +256,14 @@ class ExtractionWork:
     intermediate_identity: float
 
 
-def extraction_work(m, k: int, block_budget: int | None = None) -> ExtractionWork:
+def extraction_work(m, k: int) -> ExtractionWork:
     """Average work output of a prescient extractor over a k-block.
 
     k * [H(X_default) - H(X^{t+1}|R^t)]; positive means work released.
     Identical for every prescient memory of the same pattern.
     """
     mem = _as_memory(m)
-    e = block_entropies(mem, [k], block_budget)[0]
+    e = block_entropies(mem, [k])[0]
     noise = _update_noise(mem.machine, e)
     return ExtractionWork(
         k=k,
@@ -297,7 +293,7 @@ def _update_noise(machine: ValidatedMachine, e: BlockEntropies) -> float:
     H(R_in, W, R_out) - H(R_in, W), streamed one start state at a time."""
     if machine.unifilar:
         return 0.0
-    pi = machine.stationary().probs
+    pi = machine.stationary()
     joint = 0.0
     for i in np.flatnonzero(pi):
         table = pi[i] * np.eye(machine.n_states)[i : i + 1]
@@ -354,9 +350,7 @@ class CostReport:
         ]
 
 
-def block_work(
-    m, k: int, block_budget: int | None = None
-) -> tuple[float, DissipationCost, float]:
+def block_work(m, k: int) -> tuple[float, DissipationCost, float]:
     """(W_tape, dissipation, W_out) for one k-block, from marginals of the
     (R_in, W, R_out) table.
 
@@ -366,19 +360,17 @@ def block_work(
     """
     mem = _as_memory(m)
     w_tape = generation_tape_cost(mem, k)
-    e = _dense_entropies(mem, k, block_budget)
+    e = _dense_entropies(mem, k)
     w_out = _extraction(mem, e)
     return w_tape, _dissipation(e), w_out
 
 
-def cycle_reports(
-    m, ks, excess=None, block_budget: int | None = None
-) -> list[CostReport]:
+def cycle_reports(m, ks, excess=None) -> list[CostReport]:
     """cycle_report at each stride in `ks`, from one pass over the tables."""
     mem = _as_memory(m)
-    entropies = block_entropies(mem, ks, block_budget)
+    entropies = block_entropies(mem, ks)
     if excess is None:
-        excess = excess_entropy(mem.base.machine, block_budget=block_budget)
+        excess = excess_entropy(mem.base.machine)
     limit = dissipation_limit(mem, excess)
     reports = []
     for e in entropies:
@@ -400,13 +392,11 @@ def cycle_reports(
     return reports
 
 
-def cycle_report(
-    m, k: int, excess=None, block_budget: int | None = None
-) -> CostReport:
+def cycle_report(m, k: int, excess=None) -> CostReport:
     """Full generate-then-extract cycle balance for one block.
 
     The written and consumed tape work cancel, so the net cost of the
     cycle equals the generator's memory-update dissipation; the report
     flags whether the chosen memory attains the causal minimum.
     """
-    return cycle_reports(m, [k], excess, block_budget)[0]
+    return cycle_reports(m, [k], excess)[0]

@@ -107,3 +107,11 @@ def all_fixture_memories(fc_causal, pc_causal, p2_causal, gm_causal):
         "P2": memory_suite(p2_causal),
         "GM": memory_suite(gm_causal),
     }
+
+
+@pytest.fixture()
+def word_budget(monkeypatch):
+    """Call with a word count to set the one word budget for this test."""
+    return lambda words: monkeypatch.setattr(
+        "pattherm.process_model.DEFAULT_BLOCK_BUDGET", words
+    )

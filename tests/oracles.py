@@ -145,7 +145,7 @@ def _symbol_entropy(machine) -> float:
     """H(X | R) at the stationary state the dense table starts from."""
     e = machine.emission_matrix()
     logs = np.log2(np.where(e > 0.0, e, 1.0))
-    return float(-(machine.stationary().probs[:, None] * e * logs).sum())
+    return float(-(machine.stationary()[:, None] * e * logs).sum())
 
 
 def brute_word_distribution(machine, state: str, L: int) -> dict:
@@ -333,7 +333,7 @@ def per_draw_path(m, seed, n):
     n_states = m.n_states
     edges = _cumulative_rows(m.step_matrix())
     draws = np.random.default_rng(seed).random(n + 1).tolist()
-    state = _draw(_cumulative_rows(m.stationary().probs[None, :])[0], draws[0])
+    state = _draw(_cumulative_rows(m.stationary()[None, :])[0], draws[0])
     states = [m.states[state]]
     symbols = []
     for u in draws[1:]:
@@ -362,11 +362,11 @@ def per_draw_cycle(cfg):
         for s in np.random.SeedSequence(cfg.seed).spawn(4)
     )
 
-    base_pi = mem.base.machine.stationary().probs
+    base_pi = mem.base.machine.stationary()
     class0 = _draw(_cumulative_rows(base_pi[None, :])[0], next(pattern_u))
     class_label = mem.base.machine.states[class0]
     in_class = np.array([mem.causal_map[s] == class_label for s in machine.states])
-    weights = machine.stationary().probs * in_class
+    weights = machine.stationary() * in_class
     if weights.sum() <= 0.0:
         weights = in_class.astype(float)
     member_row = _cumulative_rows(weights[None, :])[0]

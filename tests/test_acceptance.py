@@ -199,7 +199,7 @@ def test_criterion_08_monte_carlo_consistency(pc_memories):
     )
 
 
-def test_criterion_09_synchronization(pc_memories, p2_causal, gm_causal, even):
+def test_criterion_09_synchronization(pc_memories, p2_causal, gm_causal, even, word_budget):
     """Exact synchronizers reach zero at L=1; the even process decays strictly.
 
     Exact clause: PC, P2 and GM are Markov order 1 (GM's words ending
@@ -223,7 +223,8 @@ def test_criterion_09_synchronization(pc_memories, p2_causal, gm_causal, even):
     exact_ok = all(p.residual(1) < 1e-9 and p.sync_at == 1 for p in exact.values())
 
     depth = 20
-    even_profile = synchronization_profile(even, depth, block_budget=2**depth)
+    word_budget(2**depth)
+    even_profile = synchronization_profile(even, depth)
     residuals = [even_profile.residual(L) for L in range(1, depth + 1)]
     h_third = np.log2(3.0) - 2.0 / 3.0
     closed = [

@@ -191,7 +191,7 @@ class TestMinimization:
 
     def test_complexity_no_larger_than_any_presentation(self, pc_redundant):
         c = minimize_to_causal(pc_redundant)
-        h_pres = pc_redundant.stationary().entropy()
+        h_pres = entropy_bits(pc_redundant.stationary())
         assert statistical_complexity(c) <= h_pres + 1e-12
 
     @given(with_redundant_copies(
@@ -553,10 +553,11 @@ class TestSynchronization:
                 per_length = entropy_bits(joint) - entropy_bits(joint.sum(axis=1))
                 assert residual == max(per_length, 0.0)
 
-    def test_budget_refusal_at_same_depth(self, even):
-        assert len(synchronization_profile(even, 5, block_budget=2**5).entries) == 5
+    def test_budget_refusal_at_same_depth(self, even, word_budget):
+        word_budget(2**5)
+        assert len(synchronization_profile(even, 5).entries) == 5
         with pytest.raises(BlockTooLargeError, match=r"2\^6 = 64 words"):
-            synchronization_profile(even, 6, block_budget=2**5)
+            synchronization_profile(even, 6)
 
     def test_unsynchronized_memory_reported(self, pc_memories):
         # the injected split bit is invisible to the past

@@ -291,6 +291,22 @@ class TestCosts:
         assert captured.err == "error: 2^100000 words exceeds budget 65536\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", str(MACHINES / "pc09.json"), "--sync-depth", "{}"],
+    ["costs", str(MACHINES / "pc09.json"), "-k", "{}", "--csv"],
+    ["sweep", str(MACHINES / "pc09.json"), "--k-range", "1:{}"],
+    ["simulate", str(MACHINES / "pc09.json"), "-k", "{}", "-n", "10"],
+])
+def test_first_length_over_budget_exits_4(argv, word_budget, capsys):
+    word_budget(2**5)
+    assert main([a.format(5) for a in argv]) == 0
+    capsys.readouterr()
+    assert main([a.format(6) for a in argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 2^6 = 64 words exceeds budget 32\n"
+
+
 class TestSweep:
     def test_csv_round_trip(self, gm_file, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
@@ -467,12 +483,13 @@ def _bad_p(tmp_path):
     return _machine_file(tmp_path, transitions=data["transitions"])
 
 
-def _memory_file(tmp_path, data):
-    path = tmp_path / "memory.json"
+def _memory_file(tmp_path, data, stem="memory"):
+    path = tmp_path / f"{stem}.json"
     path.write_text(json.dumps(data))
     return ["costs", _machine_file(tmp_path), "--memory", str(path), "-k", "1"]
 
 
+L_RULE = {"target": "L", "p": {"L": 1.0}}
 R_RULE = {"target": "R", "p": {"R": 1.0}}
 
 
@@ -480,7 +497,7 @@ def _kernel(tmp_path, **changes):
     data = {
         "kind": "kernel",
         "sub_states": {"L": ["L"], "R": ["R"]},
-        "rules": [{"target": "L", "p": {"L": 1.0}}, R_RULE],
+        "rules": [L_RULE, R_RULE],
     }
     return _memory_file(tmp_path, {**data, **changes})
 
@@ -495,6 +512,14 @@ def _explicit_memory(tmp_path, causal_map, machine_changes=(), **changes):
 PC_MAP = {"L": "L", "R": "R"}
 
 
+def _gm_relabelled(tmp_path, old, new):
+    """A simulate run of the golden mean with one state or symbol renamed."""
+    text = json.dumps(machine_to_dict(validate_machine(golden_mean())))
+    path = tmp_path / "machine.json"
+    path.write_text(text.replace(json.dumps(old), json.dumps(new)))
+    return ["simulate", str(path), "-k", "1", "-n", "5"]
+
+
 MALFORMED = {
     "kernel-sub-states-string": lambda t: _kernel(t, sub_states="AB"),
     "kernel-sub-states-of-string": lambda t: _kernel(t, sub_states={"L": "L", "R": "R"}),
@@ -507,6 +532,16 @@ MALFORMED = {
         t, PC_MAP, {"default_distribution": {"L": 0.2, "R": 0.8}}),
     "memory-name-nan": lambda t: _explicit_memory(t, PC_MAP, name=float("nan")),
     "kernel-name-null": lambda t: _kernel(t, name=None),
+    # labels printed in a CSV field may not hold a delimiter, quote or newline
+    "kernel-name-comma": lambda t: _kernel(t, name="last,two"),
+    "memory-name-quote": lambda t: _explicit_memory(t, PC_MAP, name='pc"09'),
+    "memory-stem-comma": lambda t: _memory_file(t, {"sub_states": {"L": ["L"], "R": ["R"]},
+                                                    "rules": [L_RULE, R_RULE]}, stem="last,two"),
+    "kernel-sub-state-comma": lambda t: _kernel(t, sub_states={"L": ["L,0"], "R": ["R"]},
+                                                rules=[{"target": "L", "p": {"L,0": 1.0}}, R_RULE]),
+    "state-comma": lambda t: _gm_relabelled(t, "A", "A,B"),
+    "state-carriage-return": lambda t: _gm_relabelled(t, "B", "B\r"),
+    "symbol-newline": lambda t: _gm_relabelled(t, "0", "0\n"),
     "default-distribution-nan": lambda t: [
         "costs", _machine_file(t, default_distribution={"L": float("nan"), "R": 1.0}),
         "-k", "2", "--csv"],

@@ -230,32 +230,31 @@ class TestExcessEntropy:
             values = [v for _, v in e.history]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_budget_stops_with_warning(self, even):
+    def test_budget_stops_with_warning(self, even, word_budget):
+        word_budget(2**8)
         with pytest.warns(NonConvergedWarning):
-            e = excess_entropy(even, L_max=12, tol=1e-15, block_budget=2**8)
+            e = excess_entropy(even, L_max=12, tol=1e-15)
         assert not e.converged
         assert e.stopped_at == 4  # 2L = 8 is the last affordable block
 
-    def test_block_entropy_takes_budgets_above_the_default(self, even):
-        assert block_entropy(even, 17, block_budget=2**17) > block_entropy(even, 16)
-
     @pytest.mark.parametrize("case", ["gm", "even", "random20x2"])
-    def test_history_is_the_block_entropy_scan(self, case, request):
+    def test_history_is_the_block_entropy_scan(self, case, request, word_budget):
         # the forward pass must give 2H(L) - H(2L) to the last bit and stop
         # where the per-L computation would be refused
-        budget = 2**8 if case == "even" else None
+        if case == "even":
+            word_budget(2**8)
         m = request.getfixturevalue(case) if case != "random20x2" else _random_20x2()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonConvergedWarning)
-            e = excess_entropy(m, block_budget=budget)
+            e = excess_entropy(m)
         expected = tuple(
-            (L, 2.0 * block_entropy(m, L, budget) - block_entropy(m, 2 * L, budget))
+            (L, 2.0 * block_entropy(m, L) - block_entropy(m, 2 * L))
             for L in range(1, e.stopped_at + 1)
         )
         assert e.history == expected
         if not e.converged:
             with pytest.raises(BlockTooLargeError):
-                block_entropy(m, 2 * (e.stopped_at + 1), budget)
+                block_entropy(m, 2 * (e.stopped_at + 1))
 
 
 def _random_20x2():

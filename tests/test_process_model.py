@@ -67,19 +67,6 @@ class TestValidation:
         m = validate_machine(spec)
         assert m.unifilar is False
 
-    def test_declared_unifilar_flag_is_verified(self):
-        spec = MachineSpec(
-            alphabet=Alphabet(("a", "b")),
-            states=("s",),
-            transitions=(
-                Transition("s", "a", 0.5, "s"),
-                Transition("s", "b", 0.5, "s"),
-            ),
-            unifilar=False,
-        )
-        with pytest.raises(MachineSpecError, match="unifilar"):
-            validate_machine(spec)
-
     def test_empty_alphabet(self):
         with pytest.raises(EmptyAlphabetError):
             Alphabet(())
@@ -108,7 +95,7 @@ class TestValidation:
         m = validate_machine(spec)
         assert m.transient_states == ("in",)
         pi = stationary_distribution(m)
-        assert pi.probability("in") == 0.0
+        assert pi[m.state_index("in")] == 0.0
 
     def test_unknown_state_reference(self):
         spec = MachineSpec(
@@ -123,29 +110,29 @@ class TestValidation:
 class TestStationaryDistribution:
     def test_perturbed_coin_symmetric(self, pc):
         pi = stationary_distribution(pc)
-        assert pi.probs == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert pi == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_golden_mean_hand_solved(self, gm):
         # pi_A = pi_A/2 + pi_B, pi_B = pi_A/2, sum 1  =>  (2/3, 1/3)
         pi = stationary_distribution(gm)
-        assert pi.probability("A") == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert pi.probability("B") == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert pi[gm.state_index("A")] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert pi[gm.state_index("B")] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_period_two_symmetric(self, p2):
         pi = stationary_distribution(p2)
-        assert pi.probs == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert pi == pytest.approx([0.5, 0.5], abs=1e-12)
 
     @pytest.mark.parametrize("fixture", ["pc", "gm", "p2", "even", "pc_redundant"])
     def test_matches_power_iteration(self, fixture, request):
         m = request.getfixturevalue(fixture)
         pi = stationary_distribution(m)
         oracle = power_stationary(m)
-        for s in m.states:
-            assert pi.probability(s) == pytest.approx(oracle[s], abs=1e-10)
+        for i, s in enumerate(m.states):
+            assert pi[i] == pytest.approx(oracle[s], abs=1e-10)
 
     def test_fixed_point_identity(self, gm):
         pi = stationary_distribution(gm)
-        assert pi.probs @ gm.state_matrix() == pytest.approx(pi.probs, abs=1e-12)
+        assert pi @ gm.state_matrix() == pytest.approx(pi, abs=1e-12)
 
 
 class TestJointBlockDistribution:
@@ -167,7 +154,7 @@ class TestJointBlockDistribution:
 
     def test_marginals_equal_stationary(self, gm):
         joint = joint_block_distribution(gm, 3)
-        pi = stationary_distribution(gm).probs
+        pi = stationary_distribution(gm)
         assert joint.table.probs.sum(axis=(1, 2)) == pytest.approx(pi, abs=1e-12)
         assert joint.table.probs.sum(axis=(0, 1)) == pytest.approx(pi, abs=1e-12)
 
@@ -186,9 +173,10 @@ class TestJointBlockDistribution:
         support = joint.table.probs > 0.0  # (state_in, word, state_out)
         assert (support.sum(axis=2) <= 1).all()
 
-    def test_block_budget_enforced(self, pc):
+    def test_block_budget_enforced(self, pc, word_budget):
+        word_budget(2**9)
         with pytest.raises(BlockTooLargeError):
-            joint_block_distribution(pc, 10, block_budget=2**9)
+            joint_block_distribution(pc, 10)
 
     def test_matches_brute_force_enumeration(self, gm):
         from .oracles import brute_joint
@@ -329,7 +317,7 @@ class TestRandomMachineProperties:
         except DisconnectedError:
             return
         joint = joint_block_distribution(m, 2)
-        pi = stationary_distribution(m).probs
+        pi = stationary_distribution(m)
         assert joint.table.probs.sum() == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(joint.table.probs.sum(axis=(1, 2)), pi, atol=1e-10)
         np.testing.assert_allclose(joint.table.probs.sum(axis=(0, 1)), pi, atol=1e-10)
@@ -375,7 +363,7 @@ def test_matmul_kernels_match_einsum_oracles(m, length):
     )
     np.testing.assert_allclose(
         joint_block_distribution(m, length).table.probs,
-        einsum_joint_block(T, m.stationary().probs, length),
+        einsum_joint_block(T, m.stationary(), length),
         rtol=0,
         atol=1e-14,
     )
