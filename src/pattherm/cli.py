@@ -18,7 +18,7 @@ from .causal_structure import (
     load_memory_file,
     synchronization_profile,
 )
-from .cycle_sim import SimConfig, run_cycle
+from .cycle_sim import TRACE_COLUMNS, SimConfig, run_cycle
 from .errors import (
     BlockTooLargeError,
     DistributionError,
@@ -262,9 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo cycle with work ledger",
-                       epilog="trace CSV columns: "
-                       "block_index,symbols,gen_state_before,gen_state_after,"
-                       "ext_state_before,ext_state_after,battery_balance_bits")
+                       epilog="trace CSV columns: " + ",".join(TRACE_COLUMNS))
     p.add_argument("machine")
     _add_memory_flag(p)
     p.add_argument("-k", type=positive_int, required=True)

@@ -18,7 +18,6 @@ import io
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -54,29 +53,32 @@ class BlockRecord(NamedTuple):
     battery_balance_bits: float
 
 
-TRACE_COLUMNS = (
-    "block_index",
-    "symbols",
-    "gen_state_before",
-    "gen_state_after",
-    "ext_state_before",
-    "ext_state_after",
-    "battery_balance_bits",
-)
+TRACE_COLUMNS = BlockRecord._fields  # the trace CSV header
 
 
-@dataclass
-class SimTrace:
-    records: list[BlockRecord]
+class SimTrace(NamedTuple):
+    """The trace as columns: each block's word, the n+1 generator and
+    extractor state labels at block boundaries, and the battery balance
+    after each block."""
+
+    words: list[str]
+    gen_labels: list[str]
+    ext_labels: list[str]
+    battery: list[float]
+
+    def _rows(self):
+        g, e = self.gen_labels, self.ext_labels
+        return zip(range(len(self.words)), self.words, g, g[1:], e, e[1:], self.battery)
+
+    @property
+    def records(self) -> list[BlockRecord]:
+        """One BlockRecord per block, built on each call."""
+        return list(map(BlockRecord._make, self._rows()))
 
     def to_csv(self, fh) -> None:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for r in self.records:
-            fh.write(
-                f"{r.block_index},{r.symbols},{r.gen_state_before},"
-                f"{r.gen_state_after},{r.ext_state_before},{r.ext_state_after},"
-                f"{r.battery_balance_bits:.9f}\n"
-            )
+        fh.write(",".join(TRACE_COLUMNS) + "\n" + "".join([
+            f"{i},{w},{gb},{ga},{eb},{ea},{b:.9f}\n" for i, w, gb, ga, eb, ea, b in self._rows()
+        ]))
 
     def csv_text(self) -> str:
         buf = io.StringIO()
@@ -134,6 +136,14 @@ def _plugin_entropy(counts: Counter) -> tuple[float, int]:
     if total == 0:
         raise InsufficientDataError("empty frequency table")
     return entropy_bits(np.array([c / total for c in counts.values()])), total
+
+
+def _tally(codes, label) -> Counter:
+    """Counter of label(c) over the integer codes, keys in first-occurrence
+    order; each distinct code is labelled once."""
+    distinct, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return Counter(dict(zip(map(label, distinct[order].tolist()), counts[order].tolist())))
 
 
 def empirical_entropy(sequence, block_len: int, overlapping: bool = True):
@@ -211,43 +221,53 @@ def run_cycle(cfg: SimConfig):
     uniforms = np.empty(2 * n_steps)
     uniforms[0::2] = pattern_u[1:]
     uniforms[1::2] = gen_u[1:]
-    path = _walk(rows, rows[gen_state], uniforms.tolist())
-    gen_path = [gen_state] + path[1::2]
-    xs = [(node - n) % a for node in path[0::2]]
+    path = np.array(_walk(rows, rows[gen_state], uniforms.tolist()))
+    gen_path = np.concatenate([[gen_state], path[1::2]])
+    xs = (path[0::2] - n) % a
 
-    # the extractor reads the tape block by block, checking every step
-    classes = [mem.causal_map[s] for s in states]
+    # the extractor reads the whole tape, stopping at a symbol it cannot read
     ext_path = [ext_state]
-    steps = zip(xs, ext_u[1:].tolist())
-    for block, gen_after in enumerate(gen_path[k::k]):
-        for x, u in islice(steps, k):
-            cum, nxt, total = landing_rows[ext_state * a + x]
-            if not nxt:
-                raise DesynchronizedError(
-                    f"extractor in {states[ext_state]!r} cannot read {symbols[x]!r}"
-                )
-            ext_state = nxt[bisect_right(cum, u * total)]
-        if classes[gen_after] != classes[ext_state]:
-            raise DesynchronizedError(
-                f"block {block}: generator class {classes[gen_after]!r} "
-                f"!= extractor class {classes[ext_state]!r}"
-            )
+    for x, u in zip(xs.tolist(), ext_u[1:].tolist()):
+        cum, nxt, total = landing_rows[ext_state * a + x]
+        if not nxt:
+            break
+        ext_state = nxt[bisect_right(cum, u * total)]
         ext_path.append(ext_state)
+    # then its class is checked at every block boundary it reached; the
+    # first error in block order is the one raised
+    classes = [mem.causal_map[s] for s in states]
+    class_code = np.unique(classes, return_inverse=True)[1]
+    gen_ends, ext_ends = gen_path[k::k], np.array(ext_path)[k::k]
+    mismatch = np.flatnonzero(class_code[gen_ends[:len(ext_ends)]] != class_code[ext_ends])
+    if mismatch.size:
+        block = int(mismatch[0])
+        raise DesynchronizedError(
+            f"block {block}: generator class {classes[gen_ends[block]]!r} "
+            f"!= extractor class {classes[ext_ends[block]]!r}"
+        )
+    if len(ext_path) <= n_steps:
+        raise DesynchronizedError(
+            f"extractor in {states[ext_state]!r} cannot read {symbols[xs[len(ext_path) - 1]]!r}"
+        )
 
-    written = [symbols[x] for x in xs]
-    words = ["".join(block) for block in zip(*[iter(written)] * k)]
-    # Counter keeps first-occurrence key order, which fixes the order in
-    # which the plug-in entropies sum
-    ledger.state_symbol_counts = Counter(zip([states[g] for g in gen_path[:-1]], written))
-    ledger.symbol_counts = Counter(written)
-    ledger.word_counts = Counter(words)
+    # tallies count integer codes; Counter keys keep first-occurrence order,
+    # which fixes the order in which the plug-in entropies sum
+    ledger.state_symbol_counts = _tally(
+        gen_path[:-1] * a + xs, lambda c: (states[c // a], symbols[c % a])
+    )
+    ledger.symbol_counts = _tally(xs, symbols.__getitem__)
     resets = _draws(mem.base.machine.default_distribution.probs, reset_u[:n_steps])
-    ledger.default_counts = Counter([symbols[r] for r in resets])
+    ledger.default_counts = _tally(resets, symbols.__getitem__)
+    # block words as big-endian base-|A| codes, each distinct code spelled once
+    place = a ** np.arange(k - 1, -1, -1)
+    distinct, word_code = np.unique(xs.reshape(n_blocks, k) @ place, return_inverse=True)
+    digits = (distinct[:, None] // place % a).tolist()
+    spelled = ["".join(map(symbols.__getitem__, d)) for d in digits]
+    ledger.word_counts = _tally(word_code, spelled.__getitem__)
 
-    gen_labels = [states[g] for g in gen_path[::k]]
-    ext_labels = [states[e] for e in ext_path]
-    records = list(map(BlockRecord._make, zip(
-        range(n_blocks), words, gen_labels, gen_labels[1:], ext_labels, ext_labels[1:],
-        ledger.battery_balance(np.arange(1, n_blocks + 1)).tolist(),
-    )))
-    return SimTrace(records), ledger
+    return SimTrace(
+        words=list(map(spelled.__getitem__, word_code.tolist())),
+        gen_labels=[states[g] for g in gen_path[::k].tolist()],
+        ext_labels=[states[e] for e in ext_path[::k]],
+        battery=ledger.battery_balance(np.arange(1, n_blocks + 1)).tolist(),
+    ), ledger

@@ -425,4 +425,6 @@ def per_draw_cycle(cfg):
                 battery_balance_bits=ledger.battery_balance(block + 1),
             )
         )
-    return SimTrace(records), ledger
+    _, words, gen_before, gen_after, ext_before, ext_after, battery = map(list, zip(*records))
+    trace = SimTrace(words, gen_before[:1] + gen_after, ext_before[:1] + ext_after, battery)
+    return trace, ledger

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from pattherm import (
+    Alphabet,
     DesynchronizedError,
     InsufficientDataError,
     MachineSpec,
@@ -22,6 +23,7 @@ from pattherm import (
     refine_memory,
     validate_machine,
 )
+from pattherm.process_model import DEFAULT_BLOCK_BUDGET
 
 from .oracles import binary_entropy, per_draw_cycle, word_labels
 from .test_process_model import random_machine
@@ -254,3 +256,51 @@ def test_oracle_match_on_fixture_memories(pc_memories, gm_causal):
         (corrupted, 1, 200, 1),
     ]:
         assert_cycle_matches_oracle(SimConfig(memory=mem, k=k, n_blocks=n_blocks, seed=seed))
+
+
+@pytest.mark.parametrize("seed, first_error", [
+    # block 2 ends in a class mismatch; read on, the extractor could not
+    # read the second symbol of block 6
+    (4, "block 2: generator class 'A' != extractor class 'B'"),
+    # the extractor cannot read the second symbol of block 0, whose end
+    # finds the generator in class A and the stuck extractor in class B
+    (96, "extractor in 'B~1' cannot read '0'"),
+])
+def test_first_error_in_block_order_matches_oracle(even, seed, first_error):
+    causal = minimize_to_causal(even)
+    honest = refine_memory(causal, stochastic_split_kernel(causal))
+    # a split A state labelled B lets the two memories start in different
+    # even-process states; they stay apart through runs of 1s, and a 0
+    # strands an extractor in B
+    corrupted = PrescientMemory(
+        machine=honest.machine,
+        base=honest.base,
+        causal_map={**honest.causal_map, "A~1": "B"},
+        memory_id="corrupted",
+    )
+    cfg = SimConfig(memory=corrupted, k=3, n_blocks=20, seed=seed)
+    with pytest.raises(DesynchronizedError) as want:
+        per_draw_cycle(cfg)
+    assert str(want.value) == first_error
+    assert_cycle_matches_oracle(cfg)
+
+
+def test_word_codes_at_the_budget_edge(pc_memories):
+    # 2^16 and 3^10 words: the largest block codes the word budget admits
+    ternary = validate_machine(MachineSpec(
+        Alphabet(("a", "b", "c")),
+        ("X", "Y"),
+        (
+            Transition("X", "a", 0.5, "X"),
+            Transition("X", "b", 0.3, "Y"),
+            Transition("X", "c", 0.2, "X"),
+            Transition("Y", "a", 0.6, "Y"),
+            Transition("Y", "c", 0.4, "X"),
+        ),
+    ))
+    for mem, k in [
+        (pc_memories["causal"], 16),
+        (causal_memory(minimize_to_causal(ternary)), 10),
+    ]:
+        assert len(mem.machine.alphabet) ** k <= DEFAULT_BLOCK_BUDGET
+        assert_cycle_matches_oracle(SimConfig(memory=mem, k=k, n_blocks=40, seed=11))
