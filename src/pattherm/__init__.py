@@ -23,7 +23,6 @@ from .causal_structure import (
     previous_state_kernel,
     random_kernel,
     refine_memory,
-    statistical_complexity,
     stochastic_split_kernel,
     synchronization_profile,
 )
@@ -48,7 +47,6 @@ from .errors import (
 from .info_measures import (
     FiniteDistribution,
     JointTable,
-    block_entropy,
     entropy,
     entropy_rate,
     excess_entropy,
@@ -72,17 +70,10 @@ from .process_model import (
 from .thermo_costs import (
     BITS,
     CostReport,
-    DissipationCost,
-    ExtractionWork,
     Units,
-    convergence_gaps,
     cycle_report,
     cycle_reports,
-    dissipation_cost,
-    dissipation_limit,
-    extraction_work,
     generation_tape_cost,
-    memory_entropy,
 )
 
 __version__ = "0.1.0"

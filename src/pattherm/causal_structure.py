@@ -52,10 +52,6 @@ class CausalMachine:
         return entropy_bits(self.machine.stationary())
 
 
-def statistical_complexity(c: CausalMachine) -> float:
-    return c.complexity
-
-
 def as_causal(m) -> CausalMachine:
     """Coerce a machine (or memory) to its causal presentation."""
     if isinstance(m, CausalMachine):
@@ -213,7 +209,7 @@ def _validate_kernel(c: CausalMachine, kernel: RefinementKernel) -> None:
                 f"sub-states {sorted(unknown)!r}"
             )
         total = sum(rule.probs.values())
-        if abs(total - 1.0) > KERNEL_ROW_TOL:
+        if not abs(total - 1.0) <= KERNEL_ROW_TOL:  # a NaN or infinite entry fails too
             raise KernelError(
                 f"rule for {rule.target!r} has probabilities summing to {total!r}"
             )
@@ -473,10 +469,10 @@ def synchronization_profile(mem, L_max: int) -> SynchronizationProfile:
     One forward pass: the word-state table for L extends the one for L-1.
     """
     machine = mem.machine if isinstance(mem, PrescientMemory) else mem
+    machine.check_budget(L_max)
     entries = []
     joint = machine.word_state_vectors(0)
     for L in range(1, L_max + 1):
-        machine.check_budget(L)
         joint = machine.extend_words(joint)
         residual = entropy_bits(joint) - entropy_bits(joint.sum(axis=1))
         entries.append((L, max(residual, 0.0)))

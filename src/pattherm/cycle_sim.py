@@ -208,10 +208,10 @@ def run_cycle(cfg: SimConfig):
         weights = in_class.astype(float)
     gen_state, ext_state = _draws(weights, [gen_u[0], ext_u[0]])
 
-    w_tape, diss, w_out = block_work(mem, k)
+    w_tape, w_diss, w_out = block_work(mem, k)
     ledger = WorkLedger(
         w_tape_per_block=w_tape,
-        w_diss_per_block=diss.eq3,
+        w_diss_per_block=w_diss,
         w_out_per_block=w_out,
         block_count=n_blocks,
     )

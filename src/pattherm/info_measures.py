@@ -36,12 +36,8 @@ def _as_prob_array(probs, tol: float = PROB_TOL) -> np.ndarray:
 def plogp(p: np.ndarray) -> np.ndarray:
     """Elementwise p*log2(p) with 0*log2(0) = 0."""
     p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
-    mask = p > 0.0
-    q = p[mask]
-    logq = np.log2(q)
-    logq *= q
-    out[mask] = logq
+    out = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    out *= p
     return out
 
 
@@ -163,19 +159,6 @@ def entropy_rate(m) -> float:
     return symbol_entropy_given_state(as_causal(m).machine)
 
 
-def block_entropy(m, length: int) -> float:
-    """Entropy of the stationary length-`length` word distribution, in bits.
-
-    P(w x) = sum_i A[w, i] E[i, x] over the length-1 shorter word-state
-    table A and the emission matrix E, with big-endian index w * |A| + x.
-    """
-    if length == 0:
-        return 0.0
-    m.check_budget(length)
-    words = m.word_state_vectors(length - 1)
-    return entropy_bits(words @ m.emission_matrix())
-
-
 @dataclass(frozen=True)
 class ExcessEntropyResult:
     """Block-mutual-information estimate of the excess entropy."""
@@ -205,9 +188,10 @@ def excess_entropy(m, L_max: int = 12, tol: float = 1e-9) -> ExcessEntropyResult
     (`check_budget`), the last value is returned flagged non-converged and
     a NonConvergedWarning is issued.
 
-    One forward pass: H(j + 1) comes from the length-j word-state table as
-    in `block_entropy`, and each table extends the previous one by a
-    symbol, so no table longer than 2L - 1 symbols is built.
+    One forward pass: H(j + 1) is the entropy of P(w x) = sum_i A[w, i]
+    E[i, x], from the length-j word-state table A and the emission matrix
+    E, and each table extends the previous one by a symbol, so no table
+    longer than 2L - 1 symbols is built.
     """
     if L_max < 1:
         raise ValueError("L_max must be >= 1")

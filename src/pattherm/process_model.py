@@ -140,13 +140,18 @@ class ValidatedMachine:
         return self._stationary_cache[0]
 
     def check_budget(self, length: int) -> int:
-        """|A|^length, or BlockTooLargeError past DEFAULT_BLOCK_BUDGET words."""
+        """|A|^length, or BlockTooLargeError past DEFAULT_BLOCK_BUDGET words
+        or a length over DEFAULT_BLOCK_BUDGET."""
         budget = DEFAULT_BLOCK_BUDGET
         a = len(self.alphabet)
         # past the budget's bit length a^length exceeds it (a >= 2) and can
         # be too large an integer to build or print
         if a > 1 and length > budget.bit_length():
             raise BlockTooLargeError(f"{a}^{length} words exceeds budget {budget}")
+        # a one-symbol table has one word, but every symbol is one more
+        # step, so no table takes more steps than the budget has words
+        if length > budget:
+            raise BlockTooLargeError(f"length {length} exceeds budget {budget}")
         n_words = a**length
         if n_words > budget:
             raise BlockTooLargeError(

@@ -5,7 +5,7 @@ paper's unit of kB*T*ln2; joules appear only when a cost is printed, via
 `format_work` and a Units value. The default tape distribution is the
 pattern's (`mem.base.machine.default_distribution`). The dissipative
 memory-update cost is always computed along three routes that read
-different block entropies (see DissipationCost); their agreement, and
+different block entropies (see `_dissipation`); their agreement, and
 the extractor identity, certify the entropy bookkeeping and the memory's
 prescience at depth k, whatever units are printed.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +43,8 @@ class Units:
         if self.mode not in ("bits", "physical"):
             raise ValueError(f"units mode must be 'bits' or 'physical', got {self.mode!r}")
         if self.mode == "physical":
-            if self.temperature is None or self.temperature <= 0.0:
-                raise ValueError("physical units need a positive temperature")
+            if self.temperature is None or not 0.0 < self.temperature < math.inf:
+                raise ValueError("physical units need a positive, finite temperature")
 
     @property
     def factor(self) -> float:
@@ -90,8 +91,7 @@ def generation_tape_cost(m, k: int) -> float:
     return k * (_default_entropy(mem) - h)
 
 
-@dataclass(frozen=True)
-class BlockEntropies:
+class BlockEntropies(NamedTuple):
     """The block entropies, in bits, that the costs of a k-block read.
 
     H(R_in, W, R_out) is not among them: it cancels from eq2 and from the
@@ -172,9 +172,8 @@ def _dense_entropies(mem: PrescientMemory, k: int) -> BlockEntropies:
     )
 
 
-@dataclass(frozen=True)
-class DissipationCost:
-    """The memory-update dissipation, computed three ways.
+def _dissipation(e: BlockEntropies) -> tuple[float, float, float]:
+    """The memory-update dissipation (eq2, eq3, eq5), computed three ways.
 
     eq2: erasure-minus-indeterminism form
          H(R^t | block, R^{t+k}) - H(R^{t+k} | R^t, block)
@@ -185,92 +184,18 @@ class DissipationCost:
     eq5: mutual-information form
          I(block; R^{t+k}) - I(block; R^t), each side's H(block) read
          from the table its joint entropy comes from
+
+    The routes read different entropies and must agree within 1e-9;
+    disagreement raises, since it would mean the bookkeeping itself, or
+    the memory's prescience, is broken.
     """
-
-    k: int
-    eq2: float
-    eq3: float
-    eq5: float
-
-    @property
-    def max_disagreement(self) -> float:
-        return max(abs(self.eq2 - self.eq3), abs(self.eq3 - self.eq5))
-
-
-def dissipation_cost(m, k: int) -> DissipationCost:
-    """Dissipative work of updating the memory across a k-symbol block.
-
-    The three routes read different entropies (see DissipationCost) and
-    must agree within 1e-9; disagreement raises, since it would mean the
-    bookkeeping itself, or the memory's prescience, is broken.
-    """
-    mem = _as_memory(m)
-    return _dissipation(block_entropies(mem, [k])[0])
-
-
-def _dissipation(e: BlockEntropies) -> DissipationCost:
-    cost = DissipationCost(
-        k=e.k,
-        eq2=e.prescient - e.word_state,
-        eq3=(e.state_word - e.state_in) - (e.word_state - e.state_out),
-        eq5=(e.word_out + e.state_out - e.word_state) - (e.word_in + e.state_in - e.state_word),
-    )
-    if cost.max_disagreement > IDENTITY_TOL:
-        raise PatthermError(
-            f"dissipation routes disagree by {cost.max_disagreement:.3e} at k={e.k}"
-        )
-    return cost
-
-
-def memory_entropy(m) -> float:
-    return _as_memory(m).memory_entropy()
-
-
-def dissipation_limit(m, excess) -> float:
-    """Large-block dissipation H(R) - E for synchronizing memories."""
-    return _as_memory(m).memory_entropy() - float(excess)
-
-
-def convergence_gaps(m, ks, excess=None):
-    """|W_diss(k) - (H(R) - E)| for each k, in bits."""
-    mem = _as_memory(m)
-    entropies = block_entropies(mem, ks)
-    if excess is None:
-        excess = excess_entropy(mem.base.machine)
-    limit = dissipation_limit(mem, excess)
-    return tuple(abs(_dissipation(e).eq3 - limit) for e in entropies)
-
-
-@dataclass(frozen=True)
-class ExtractionWork:
-    """Work released by resetting k pattern symbols to the default state.
-
-    `intermediate` is the retrodictive entropy H(R^t, block | R^{t+k});
-    `intermediate_identity` is its predicted value k*H(X|R) +
-    H(R^{t+k} | R^t, block). Their agreement is checked on every call.
-    """
-
-    k: int
-    value: float
-    intermediate: float
-    intermediate_identity: float
-
-
-def extraction_work(m, k: int) -> ExtractionWork:
-    """Average work output of a prescient extractor over a k-block.
-
-    k * [H(X_default) - H(X^{t+1}|R^t)]; positive means work released.
-    Identical for every prescient memory of the same pattern.
-    """
-    mem = _as_memory(m)
-    e = block_entropies(mem, [k])[0]
-    noise = _update_noise(mem.machine, e)
-    return ExtractionWork(
-        k=k,
-        value=_extraction(mem, e),
-        intermediate=e.state_word + noise - e.state_out,
-        intermediate_identity=k * e.h + noise,
-    )
+    eq2 = e.prescient - e.word_state
+    eq3 = (e.state_word - e.state_in) - (e.word_state - e.state_out)
+    eq5 = (e.word_out + e.state_out - e.word_state) - (e.word_in + e.state_in - e.state_word)
+    gap = max(abs(eq2 - eq3), abs(eq3 - eq5))
+    if gap > IDENTITY_TOL:
+        raise PatthermError(f"dissipation routes disagree by {gap:.3e} at k={e.k}")
+    return eq2, eq3, eq5
 
 
 def _extraction(mem: PrescientMemory, e: BlockEntropies) -> float:
@@ -286,21 +211,6 @@ def _extraction(mem: PrescientMemory, e: BlockEntropies) -> float:
             f"extractor bookkeeping identity violated by {gap:.3e} at k={e.k}"
         )
     return e.k * (_default_entropy(mem) - e.h)
-
-
-def _update_noise(machine: ValidatedMachine, e: BlockEntropies) -> float:
-    """H(R_out | R_in, W): 0 for a unifilar memory; otherwise
-    H(R_in, W, R_out) - H(R_in, W), streamed one start state at a time."""
-    if machine.unifilar:
-        return 0.0
-    pi = machine.stationary()
-    joint = 0.0
-    for i in np.flatnonzero(pi):
-        table = pi[i] * np.eye(machine.n_states)[i : i + 1]
-        for _ in range(e.k):
-            table = machine.extend_words(table)
-        joint += entropy_bits(table)
-    return joint - e.state_word
 
 
 CSV_COLUMNS = (
@@ -324,8 +234,7 @@ def format_work(bits: float, units: Units) -> str:
     return f"{units.convert(bits):.9e}"
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     """All per-block work quantities for one memory at one stride k."""
 
     k: int
@@ -350,8 +259,8 @@ class CostReport:
         ]
 
 
-def block_work(m, k: int) -> tuple[float, DissipationCost, float]:
-    """(W_tape, dissipation, W_out) for one k-block, from marginals of the
+def block_work(m, k: int) -> tuple[float, float, float]:
+    """(W_tape, W_diss, W_out) for one k-block, from marginals of the
     (R_in, W, R_out) table.
 
     `simulate` books these per block. Its trace prints n times W_diss to
@@ -362,32 +271,36 @@ def block_work(m, k: int) -> tuple[float, DissipationCost, float]:
     w_tape = generation_tape_cost(mem, k)
     e = _dense_entropies(mem, k)
     w_out = _extraction(mem, e)
-    return w_tape, _dissipation(e), w_out
+    return w_tape, _dissipation(e)[1], w_out
 
 
 def cycle_reports(m, ks, excess=None) -> list[CostReport]:
-    """cycle_report at each stride in `ks`, from one pass over the tables."""
+    """cycle_report at each stride in `ks`, from one pass over the tables.
+
+    W_diss_limit is H(R) - E, the large-block dissipation of a
+    synchronizing memory; `excess` defaults to the pattern's E.
+    """
     mem = _as_memory(m)
     entropies = block_entropies(mem, ks)
     if excess is None:
         excess = excess_entropy(mem.base.machine)
-    limit = dissipation_limit(mem, excess)
+    limit = mem.memory_entropy() - float(excess)
     reports = []
     for e in entropies:
         w_tape = generation_tape_cost(mem, e.k)
         w_out = _extraction(mem, e)
-        diss = _dissipation(e)
+        eq2, eq3, eq5 = _dissipation(e)
         reports.append(CostReport(
             k=e.k,
             w_tape=w_tape,
-            w_diss_eq2=diss.eq2,
-            w_diss_eq3=diss.eq3,
-            w_diss_eq5=diss.eq5,
+            w_diss_eq2=eq2,
+            w_diss_eq3=eq3,
+            w_diss_eq5=eq5,
             w_out=w_out,
             w_diss_limit=limit,
             memory_id=mem.memory_id,
             minimal=mem.is_minimal,
-            net=w_tape + diss.eq3 - w_out,
+            net=w_tape + eq3 - w_out,
         ))
     return reports
 

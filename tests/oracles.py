@@ -373,10 +373,10 @@ def per_draw_cycle(cfg):
     gen_state = _draw(member_row, next(gen_u))
     ext_state = _draw(member_row, next(ext_u))
 
-    w_tape, diss, w_out = block_work(mem, cfg.k)
+    w_tape, w_diss, w_out = block_work(mem, cfg.k)
     ledger = WorkLedger(
         w_tape_per_block=w_tape,
-        w_diss_per_block=diss.eq3,
+        w_diss_per_block=w_diss,
         w_out_per_block=w_out,
     )
     tape = deque()

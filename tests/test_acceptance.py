@@ -15,13 +15,10 @@ from pattherm import (
     SimConfig,
     causal_memory,
     check_determinism,
-    convergence_gaps,
     cycle_report,
-    dissipation_cost,
-    dissipation_limit,
+    cycle_reports,
     entropy_rate,
     excess_entropy,
-    extraction_work,
     minimize_to_causal,
     parity_kernel,
     random_kernel,
@@ -48,9 +45,9 @@ def test_criterion_01_dissipation_identity_chain(all_fixture_memories):
     for name in FIXTURE_NAMES:
         for mem_name in MEMORY_NAMES:
             mem = all_fixture_memories[name][mem_name]
-            for k in KS:
-                d = dissipation_cost(mem, k)
-                worst = max(worst, abs(d.eq2 - d.eq3), abs(d.eq3 - d.eq5))
+            for r in cycle_reports(mem, KS, excess=0.0):
+                worst = max(worst, abs(r.w_diss_eq2 - r.w_diss_eq3),
+                            abs(r.w_diss_eq3 - r.w_diss_eq5))
     elapsed = time.monotonic() - t0
     report(
         1,
@@ -68,14 +65,13 @@ def test_criterion_02_indeterminism_cancellation(pc_memories, pc_parity):
     ok = abs(h_split - 2.0) < 1e-9 and abs(h_split - h_parity) < 1e-9
     worst = 0.0
     residuals = []
-    for k in KS:
+    reports = zip(cycle_reports(split, KS), cycle_reports(pc_parity, KS))
+    for k, (r_split, r_parity) in zip(KS, reports):
         residuals.append(check_determinism(split, k).residual)
-        d_split = dissipation_cost(split, k)
-        d_parity = dissipation_cost(pc_parity, k)
         for a, b in (
-            (d_split.eq2, d_parity.eq2),
-            (d_split.eq3, d_parity.eq3),
-            (d_split.eq5, d_parity.eq5),
+            (r_split.w_diss_eq2, r_parity.w_diss_eq2),
+            (r_split.w_diss_eq3, r_parity.w_diss_eq3),
+            (r_split.w_diss_eq5, r_parity.w_diss_eq5),
         ):
             worst = max(worst, abs(a - b))
     ok = ok and all(abs(r - 1.0) < 1e-9 for r in residuals) and worst < 1e-9
@@ -89,8 +85,8 @@ def test_criterion_02_indeterminism_cancellation(pc_memories, pc_parity):
 
 def test_criterion_03_simpler_is_better(pc_memories, pc_causal, gm_causal):
     """Causal memory dissipates least, exactly and under random refinement."""
-    d_causal = dissipation_cost(pc_memories["causal"], 2).eq3
-    d_refined = dissipation_cost(pc_memories["last-two"], 2).eq3
+    d_causal = cycle_report(pc_memories["causal"], 2).w_diss_eq3
+    d_refined = cycle_report(pc_memories["last-two"], 2).w_diss_eq3
     ok = (
         abs(d_causal - 0.468996) < 1e-6
         and abs(d_refined - 0.937992) < 1e-6
@@ -100,11 +96,11 @@ def test_criterion_03_simpler_is_better(pc_memories, pc_causal, gm_causal):
     violations = 0
     for causal in (pc_causal, gm_causal):
         base = causal_memory(causal)
-        base_costs = {k: dissipation_cost(base, k).eq3 for k in KS}
+        base_costs = cycle_reports(base, KS, excess=0.0)
         for trial in range(20):
             mem = refine_memory(causal, random_kernel(causal, rng, f"rk{trial}"))
-            for k in KS:
-                if base_costs[k] > dissipation_cost(mem, k).eq3 + 1e-12:
+            for r_base, r in zip(base_costs, cycle_reports(mem, KS, excess=0.0)):
+                if r_base.w_diss_eq3 > r.w_diss_eq3 + 1e-12:
                     violations += 1
     ok = ok and violations == 0
     report(
@@ -120,8 +116,9 @@ def test_criterion_04_extraction_memory_independence(all_fixture_memories):
     worst = 0.0
     for name in FIXTURE_NAMES:
         memories = all_fixture_memories[name]
-        for k in KS:
-            values = [extraction_work(m, k).value for m in memories.values()]
+        per_memory = [cycle_reports(m, KS, excess=0.0) for m in memories.values()]
+        for reports in zip(*per_memory):
+            values = [r.w_out for r in reports]
             worst = max(worst, max(values) - min(values))
     report(4, worst < 1e-12, f"max spread across memories {worst:.2e}")
 
@@ -137,11 +134,12 @@ def test_criterion_05_dissipation_limit(all_fixture_memories):
         ("PC/last-two", pc["last-two"]),
         ("P2/causal", p2["causal"]),
     ):
-        gap = convergence_gaps(mem, [4])[0]
+        r = cycle_report(mem, 4)
+        gap = abs(r.w_diss_eq3 - r.w_diss_limit)
         details.append(f"{label} gap(4)={gap:.2e}")
         ok = ok and gap < 1e-6
     gm = all_fixture_memories["GM"]["causal"]
-    gaps = convergence_gaps(gm, range(1, 9))
+    gaps = [abs(r.w_diss_eq3 - r.w_diss_limit) for r in cycle_reports(gm, range(1, 9))]
     monotone = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     details.append(f"GM gap(8)={gaps[-1]:.2e} monotone={monotone}")
     ok = ok and monotone and gaps[-1] < 1e-3

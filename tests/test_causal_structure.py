@@ -23,7 +23,6 @@ from pattherm import (
     previous_state_kernel,
     random_kernel,
     refine_memory,
-    statistical_complexity,
     stochastic_split_kernel,
     synchronization_profile,
     validate_machine,
@@ -150,14 +149,14 @@ class TestMinimization:
     def test_redundant_fair_coin_collapses(self, fc_redundant):
         c = minimize_to_causal(fc_redundant)
         assert c.machine.n_states == 1
-        assert statistical_complexity(c) == pytest.approx(0.0, abs=1e-12)
+        assert c.complexity == pytest.approx(0.0, abs=1e-12)
         assert set(c.projection.values()) == {"S0"}
 
     def test_redundant_perturbed_coin_two_states(self, pc_redundant):
         # by hand: {LL, RL} and {LR, RR} agree on emissions and successors
         c = minimize_to_causal(pc_redundant)
         assert c.machine.n_states == 2
-        assert statistical_complexity(c) == pytest.approx(1.0, abs=1e-9)
+        assert c.complexity == pytest.approx(1.0, abs=1e-9)
         assert c.projection["LL"] == c.projection["RL"]
         assert c.projection["LR"] == c.projection["RR"]
         assert c.projection["LL"] != c.projection["LR"]
@@ -165,7 +164,7 @@ class TestMinimization:
     def test_golden_mean_already_minimal(self, gm):
         c = minimize_to_causal(gm)
         assert c.machine.n_states == 2
-        assert statistical_complexity(c) == pytest.approx(
+        assert c.complexity == pytest.approx(
             binary_entropy(1.0 / 3.0), abs=1e-12
         )
         assert machine_to_dict(c.machine) == machine_to_dict(gm)
@@ -192,7 +191,7 @@ class TestMinimization:
     def test_complexity_no_larger_than_any_presentation(self, pc_redundant):
         c = minimize_to_causal(pc_redundant)
         h_pres = entropy_bits(pc_redundant.stationary())
-        assert statistical_complexity(c) <= h_pres + 1e-12
+        assert c.complexity <= h_pres + 1e-12
 
     @given(with_redundant_copies(
         st.one_of(coarse_unifilar(), coarse_unifilar(rare=True), cycles)

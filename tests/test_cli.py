@@ -3,7 +3,6 @@ import io
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -192,7 +191,7 @@ class TestCosts:
         real = thermo_costs.block_entropies
 
         def skewed(*args, **kwargs):
-            return [replace(e, word_out=e.word_out + 0.1) for e in real(*args, **kwargs)]
+            return [e._replace(word_out=e.word_out + 0.1) for e in real(*args, **kwargs)]
 
         monkeypatch.setattr(thermo_costs, "block_entropies", skewed)
         argv = ["costs", str(MACHINES / "pc09.json"), "-k", "2",
@@ -202,6 +201,21 @@ class TestCosts:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "dissipation routes disagree" in captured.err
+
+    def test_extractor_identity_violation_exits_1(self, monkeypatch, capsys):
+        # H(R_in, W) off its prescient value by 0.1 bit breaks the extractor
+        # identity, which is checked before the dissipation routes
+        real = thermo_costs.block_entropies
+
+        def skewed(*args, **kwargs):
+            return [e._replace(state_word=e.state_word + 0.1) for e in real(*args, **kwargs)]
+
+        monkeypatch.setattr(thermo_costs, "block_entropies", skewed)
+        assert main(["costs", str(MACHINES / "pc09.json"), "-k", "2", "--csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "extractor bookkeeping identity violated" in captured.err
 
     def test_explicit_memory_uses_pattern_default(self, tmp_path, capsys):
         # the memory file's machine carries no default (so a uniform one);
@@ -305,6 +319,27 @@ def test_first_length_over_budget_exits_4(argv, word_budget, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: 2^6 = 64 words exceeds budget 32\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{machine}", "--sync-depth", "{k}"],
+    ["costs", "{machine}", "-k", "{k}", "--csv"],
+    ["sweep", "{machine}", "--k-range", "1:{k}"],
+])
+def test_one_symbol_length_over_budget_exits_4(argv, tmp_path, word_budget, capsys):
+    # a one-symbol table never passes the word count, so the length is bounded
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({
+        "alphabet": ["0"], "states": ["A"],
+        "transitions": [{"from": "A", "symbol": "0", "p": 1.0, "to": "A"}],
+    }))
+    word_budget(32)
+    assert main([a.format(machine=path, k=32) for a in argv]) == 0
+    capsys.readouterr()
+    assert main([a.format(machine=path, k=10**12) for a in argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: length \d+ exceeds budget 32\n", captured.err)
 
 
 class TestSweep:
@@ -527,6 +562,8 @@ MALFORMED = {
     "kernel-p-string": lambda t: _kernel(t, rules=[{"target": "L", "p": {"L": "x"}}, R_RULE]),
     "kernel-p-bool": lambda t: _kernel(t, rules=[{"target": "L", "p": {"L": True}}, R_RULE]),
     "kernel-p-list": lambda t: _kernel(t, rules=[{"target": "L", "p": [1.0]}, R_RULE]),
+    "kernel-p-nan": lambda t: _kernel(t, sub_states={"L": ["L0", "L1"], "R": ["R"]}, rules=[
+        {"target": "L", "p": {"L0": float("nan"), "L1": 1.0}}, R_RULE]),
     "memory-causal-map-list": lambda t: _explicit_memory(t, ["L", "R"]),
     "memory-default-distribution": lambda t: _explicit_memory(
         t, PC_MAP, {"default_distribution": {"L": 0.2, "R": 0.8}}),

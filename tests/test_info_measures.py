@@ -17,7 +17,6 @@ from pattherm import (
     MachineSpec,
     NonConvergedWarning,
     Transition,
-    block_entropy,
     entropy,
     entropy_rate,
     excess_entropy,
@@ -26,7 +25,7 @@ from pattherm import (
 )
 from pattherm.info_measures import entropy_bits
 
-from .oracles import binary_entropy
+from .oracles import binary_entropy, brute_block_entropy
 
 HB9 = binary_entropy(0.9)  # 0.46899559358928117
 
@@ -190,7 +189,7 @@ class TestEntropyRate:
     def test_matches_block_entropy_slope(self, fixture, request):
         m = request.getfixturevalue(fixture)
         h = entropy_rate(m)
-        slope = block_entropy(m, 8) - block_entropy(m, 7)
+        slope = brute_block_entropy(m, 8) - brute_block_entropy(m, 7)
         assert abs(slope - h) < 1e-9
 
     def test_requires_unifilar_presentation(self, pc_memories):
@@ -217,8 +216,6 @@ class TestExcessEntropy:
         assert e.value == pytest.approx(1.0, abs=1e-12)
 
     def test_golden_mean_against_brute_blocks(self, gm):
-        from .oracles import brute_block_entropy
-
         expected = 2 * brute_block_entropy(gm, 3) - brute_block_entropy(gm, 6)
         e = excess_entropy(gm)
         assert e.value == pytest.approx(expected, abs=1e-9)
@@ -248,13 +245,19 @@ class TestExcessEntropy:
             warnings.simplefilter("ignore", NonConvergedWarning)
             e = excess_entropy(m)
         expected = tuple(
-            (L, 2.0 * block_entropy(m, L) - block_entropy(m, 2 * L))
+            (L, 2.0 * _block_entropy(m, L) - _block_entropy(m, 2 * L))
             for L in range(1, e.stopped_at + 1)
         )
         assert e.history == expected
         if not e.converged:
             with pytest.raises(BlockTooLargeError):
-                block_entropy(m, 2 * (e.stopped_at + 1))
+                m.check_budget(2 * (e.stopped_at + 1))
+
+
+def _block_entropy(m, L: int) -> float:
+    """H(L) computed on its own, from the length L - 1 word-state table A
+    and the emission matrix E: P(w x) = sum_i A[w, i] E[i, x]."""
+    return entropy_bits(m.word_state_vectors(L - 1) @ m.emission_matrix())
 
 
 def _random_20x2():

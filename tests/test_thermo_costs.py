@@ -6,19 +6,16 @@ import pytest
 from pattherm import (
     Units,
     causal_memory,
-    convergence_gaps,
+    check_determinism,
     cycle_report,
-    dissipation_cost,
-    dissipation_limit,
+    cycle_reports,
     excess_entropy,
-    extraction_work,
     generation_tape_cost,
-    memory_entropy,
     random_kernel,
     refine_memory,
     uniform_distribution,
 )
-from pattherm.thermo_costs import CSV_COLUMNS, K_BOLTZMANN
+from pattherm.thermo_costs import CSV_COLUMNS, K_BOLTZMANN, block_entropies
 
 from .oracles import binary_entropy, brute_dissipation, dense_report_fields
 
@@ -39,8 +36,9 @@ class TestUnits:
     def test_physical_requires_temperature(self):
         with pytest.raises(ValueError):
             Units(mode="physical")
-        with pytest.raises(ValueError):
-            Units(mode="physical", temperature=-10.0)
+        for bad in (-10.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                Units(mode="physical", temperature=bad)
 
 
 class TestGenerationTapeCost:
@@ -85,76 +83,65 @@ class TestGenerationTapeCost:
             assert float(text) == pytest.approx(value * u.factor, rel=1e-9)
 
 
+def _routes(r) -> tuple[float, float, float]:
+    return r.w_diss_eq2, r.w_diss_eq3, r.w_diss_eq5
+
+
 class TestDissipationCost:
     def test_pc_causal_hand_value(self, pc_memories):
-        d = dissipation_cost(pc_memories["causal"], 1)
+        r = cycle_report(pc_memories["causal"], 1)
         # H(X|R^t) = H_b(0.9); the new state reveals the symbol exactly
-        assert d.eq3 == pytest.approx(HB9, abs=1e-12)
+        assert r.w_diss_eq3 == pytest.approx(HB9, abs=1e-12)
 
     def test_pc_last_two_k2_doubles(self, pc_memories):
-        d = dissipation_cost(pc_memories["last-two"], 2)
-        assert d.eq3 == pytest.approx(2 * HB9, abs=1e-12)
-        causal = dissipation_cost(pc_memories["causal"], 2)
-        assert causal.eq3 < d.eq3
+        r = cycle_report(pc_memories["last-two"], 2)
+        assert r.w_diss_eq3 == pytest.approx(2 * HB9, abs=1e-12)
+        causal = cycle_report(pc_memories["causal"], 2)
+        assert causal.w_diss_eq3 < r.w_diss_eq3
 
     def test_fair_coin_zero(self, fc_causal):
-        for k in (1, 4):
-            d = dissipation_cost(causal_memory(fc_causal), k)
-            assert d.eq3 == pytest.approx(0.0, abs=1e-12)
+        for r in cycle_reports(causal_memory(fc_causal), (1, 4)):
+            assert r.w_diss_eq3 == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["causal", "last-two", "split50"])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_brute_force(self, name, k, pc_memories):
         mem = pc_memories[name]
-        d = dissipation_cost(mem, k)
+        routes = _routes(cycle_report(mem, k))
         oracle = brute_dissipation(mem.machine, k)
-        assert d.eq2 == pytest.approx(oracle[0], abs=1e-9)
-        assert d.eq3 == pytest.approx(oracle[1], abs=1e-9)
-        assert d.eq5 == pytest.approx(oracle[2], abs=1e-9)
+        for got, want in zip(routes, oracle, strict=True):
+            assert got == pytest.approx(want, abs=1e-9)
 
     def test_identity_chain_all_fixtures(self, all_fixture_memories):
         for memories in all_fixture_memories.values():
             for mem in memories.values():
-                for k in range(1, 7):
-                    d = dissipation_cost(mem, k)
-                    assert abs(d.eq2 - d.eq3) < 1e-9
-                    assert abs(d.eq3 - d.eq5) < 1e-9
+                for r in cycle_reports(mem, range(1, 7)):
+                    eq2, eq3, eq5 = _routes(r)
+                    assert abs(eq2 - eq3) < 1e-9
+                    assert abs(eq3 - eq5) < 1e-9
 
     def test_non_negative(self, all_fixture_memories):
         for memories in all_fixture_memories.values():
             for mem in memories.values():
-                for k in (1, 3, 6):
-                    assert dissipation_cost(mem, k).eq3 >= -1e-9
-
-    def test_units_conversion(self, pc_memories):
-        u = Units(mode="physical", temperature=250.0)
-        d = dissipation_cost(pc_memories["causal"], 2)
-        phys = cycle_report(pc_memories["causal"], 2).csv_row(u)[2:5]
-        for bits, text in zip((d.eq2, d.eq3, d.eq5), phys, strict=True):
-            assert float(text) == pytest.approx(bits * u.factor, rel=1e-9)
+                for r in cycle_reports(mem, (1, 3, 6)):
+                    assert r.w_diss_eq3 >= -1e-9
 
 
 class TestDissipationLimit:
     def test_pc_causal(self, pc, pc_memories):
-        e = excess_entropy(pc)
-        limit = dissipation_limit(pc_memories["causal"], e)
+        limit = cycle_report(pc_memories["causal"], 1, excess_entropy(pc)).w_diss_limit
         assert limit == pytest.approx(1.0 - (1.0 - HB9), abs=1e-9)
         assert limit == pytest.approx(HB9, abs=1e-9)
 
     def test_pc_last_two(self, pc, pc_memories):
-        e = excess_entropy(pc)
-        limit = dissipation_limit(pc_memories["last-two"], e)
-        assert limit == pytest.approx((1.0 + HB9) - (1.0 - HB9), abs=1e-9)
         # reached exactly from k=2 on
-        assert dissipation_cost(pc_memories["last-two"], 2).eq3 == pytest.approx(
-            limit, abs=1e-9
-        )
+        r = cycle_report(pc_memories["last-two"], 2, excess_entropy(pc))
+        assert r.w_diss_limit == pytest.approx((1.0 + HB9) - (1.0 - HB9), abs=1e-9)
+        assert r.w_diss_eq3 == pytest.approx(r.w_diss_limit, abs=1e-9)
 
     def test_p2_zero(self, p2, p2_causal):
-        e = excess_entropy(p2)
-        assert dissipation_limit(causal_memory(p2_causal), e) == pytest.approx(
-            0.0, abs=1e-9
-        )
+        r = cycle_report(causal_memory(p2_causal), 1, excess_entropy(p2))
+        assert r.w_diss_limit == pytest.approx(0.0, abs=1e-9)
 
     def test_limit_at_least_complexity_minus_excess(self, all_fixture_memories, request):
         for name, memories in all_fixture_memories.items():
@@ -163,44 +150,46 @@ class TestDissipationLimit:
             floor = base.complexity - e.value
             assert floor >= -1e-9
             for mem in memories.values():
-                assert dissipation_limit(mem, e) >= floor - 1e-9
+                assert cycle_report(mem, 1, e).w_diss_limit >= floor - 1e-9
 
     def test_convergence_gaps_monotone_for_deterministic_memories(
         self, all_fixture_memories
     ):
-        ks = range(1, 9)
         for memories in all_fixture_memories.values():
             for name in ("causal", "last-two"):
-                gaps = convergence_gaps(memories[name], ks)
+                reports = cycle_reports(memories[name], range(1, 9))
+                gaps = [abs(r.w_diss_eq3 - r.w_diss_limit) for r in reports]
                 assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
                 assert gaps[-1] < 1e-6
 
 
 class TestExtractionWork:
     def test_pc_one_symbol(self, pc_memories):
-        w = extraction_work(pc_memories["causal"], 1)
-        assert w.value == pytest.approx(1.0 - HB9, abs=1e-12)
+        w_out = cycle_report(pc_memories["causal"], 1).w_out
+        assert w_out == pytest.approx(1.0 - HB9, abs=1e-12)
 
     def test_memory_independent(self, pc_memories):
-        values = [extraction_work(m, 1).value for m in pc_memories.values()]
+        values = [cycle_report(m, 1).w_out for m in pc_memories.values()]
         assert max(values) - min(values) < 1e-12
 
     def test_fair_coin_releases_nothing(self, fc_causal):
-        for k in (1, 5):
-            assert extraction_work(causal_memory(fc_causal), k).value == pytest.approx(
-                0.0, abs=1e-12
-            )
+        for r in cycle_reports(causal_memory(fc_causal), (1, 5)):
+            assert r.w_out == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["causal", "last-two", "split50"])
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_bookkeeping_identity(self, name, k, pc_memories):
-        w = extraction_work(pc_memories[name], k)
-        assert w.intermediate == pytest.approx(w.intermediate_identity, abs=1e-9)
+        # H(R^t, block | R^{t+k}) = k*h + H(R^{t+k} | R^t, block): the update
+        # noise is on both sides, leaving H(R_in, W) - H(R_out) = k*h
+        e = block_entropies(pc_memories[name], [k])[0]
+        assert e.state_word - e.state_out == pytest.approx(k * e.h, abs=1e-9)
 
     def test_stochastic_intermediate_carries_noise_bit(self, pc_memories):
-        w = extraction_work(pc_memories["split50"], 1)
+        mem = pc_memories["split50"]
+        e = block_entropies(mem, [1])[0]
+        noise = check_determinism(mem, 1).residual
         # H(R^t, X | R^{t+1}) = H_b(0.9) + 1 injected bit
-        assert w.intermediate == pytest.approx(HB9 + 1.0, abs=1e-9)
+        assert e.state_word + noise - e.state_out == pytest.approx(HB9 + 1.0, abs=1e-9)
 
 
 class TestCycleReport:
@@ -258,12 +247,12 @@ class TestRandomMachineIdentities:
                 refine_memory(causal, random_kernel(causal, rng)),
             ]
             for mem in memories:
-                for k in (1, 3):
-                    d = dissipation_cost(mem, k)
-                    assert d.max_disagreement < 1e-9
-                    assert d.eq3 >= -1e-9
-                    w = extraction_work(mem, k)
-                    assert abs(w.intermediate - w.intermediate_identity) < 1e-9
+                reports = cycle_reports(mem, (1, 3), excess=0.0)
+                for r, e in zip(reports, block_entropies(mem, (1, 3))):
+                    eq2, eq3, eq5 = _routes(r)
+                    assert max(abs(eq2 - eq3), abs(eq3 - eq5)) < 1e-9
+                    assert eq3 >= -1e-9
+                    assert abs(e.state_word - e.state_out - e.k * e.h) < 1e-9
 
         run()
 
@@ -284,11 +273,9 @@ class TestRandomMachineIdentities:
             rng = np.random.default_rng(machine.n_states * 77 + 5)
             mem = refine_memory(causal, random_kernel(causal, rng))
             base = causal_memory(causal)
-            for k in (1, 2, 4):
-                assert (
-                    dissipation_cost(base, k).eq3
-                    <= dissipation_cost(mem, k).eq3 + 1e-12
-                )
+            pairs = zip(*(cycle_reports(m, (1, 2, 4), excess=0.0) for m in (base, mem)))
+            for r_base, r_mem in pairs:
+                assert r_base.w_diss_eq3 <= r_mem.w_diss_eq3 + 1e-12
 
         run()
 
@@ -300,13 +287,9 @@ class TestCausalMinimality:
             base = causal_memory(causal)
             for trial in range(8):
                 mem = refine_memory(causal, random_kernel(causal, rng, f"t{trial}"))
-                for k in (1, 3, 6):
-                    d_causal = dissipation_cost(base, k).eq3
-                    d_refined = dissipation_cost(mem, k).eq3
-                    assert d_causal <= d_refined + 1e-12
-
-    def test_memory_entropy_helper(self, pc_memories):
-        assert memory_entropy(pc_memories["split50"]) == pytest.approx(2.0, abs=1e-12)
+                ks = (1, 3, 6)
+                for r_causal, r_refined in zip(cycle_reports(base, ks), cycle_reports(mem, ks)):
+                    assert r_causal.w_diss_eq3 <= r_refined.w_diss_eq3 + 1e-12
 
 
 class TestStreamedEntropies:
@@ -367,9 +350,7 @@ class TestStreamedEntropies:
         monkeypatch.setattr(im.JointTable, "__post_init__", refuse)
         for mem in pc_memories.values():
             cycle_report(mem, 5)
-            dissipation_cost(mem, 5)
-            extraction_work(mem, 5)
-            convergence_gaps(mem, [1, 2, 3])
+            cycle_reports(mem, [1, 2, 3])
         argv = ["sweep", str(MACHINES / "pc09.json"), "--k-range", "1:8",
                 "--memory", str(MACHINES / "kernels" / "pc_split50.json")]
         assert main(argv) == 0
@@ -390,9 +371,7 @@ class TestStreamedEntropies:
         tracemalloc.start()
         try:
             cycle_report(mem, k, excess=0.0)
-            dissipation_cost(mem, k)
-            extraction_work(mem, k)
-            convergence_gaps(mem, range(1, k + 1), excess=0.0)
+            cycle_reports(mem, range(1, k + 1), excess=0.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
