@@ -26,7 +26,7 @@ from .causal_structure import (
     stochastic_split_kernel,
     synchronization_profile,
 )
-from .cycle_sim import SimConfig, WorkLedger, empirical_entropy, run_cycle
+from .cycle_sim import SimConfig, WorkLedger, run_cycle
 from .errors import (
     AxisError,
     BlockTooLargeError,
@@ -62,7 +62,6 @@ from .process_model import (
     load_machine_file,
     machine_to_dict,
     parse_machine,
-    sample_path,
     save_machine_file,
     stationary_distribution,
     validate_machine,

@@ -125,10 +125,6 @@ class PrescientMemory:
     base: CausalMachine
     causal_map: dict[str, str]  # memory state -> causal state
     memory_id: str = "causal"
-    kernel: "RefinementKernel | None" = None
-
-    def class_of(self, state: str) -> str:
-        return self.causal_map[state]
 
     def memory_entropy(self) -> float:
         """H(R): entropy of the stationary memory-state distribution."""
@@ -198,9 +194,20 @@ def _validate_kernel(c: CausalMachine, kernel: RefinementKernel) -> None:
             if u in seen:
                 raise KernelError(f"sub-state label {u!r} used more than once")
             seen.add(u)
+    # a condition that names nothing would leave its rule silently dead;
+    # tuples, since a JSON list or object as a condition is unhashable
+    known = {
+        "source_class": tuple(classes),
+        "source_sub": tuple(seen),
+        "symbol": machine.alphabet.symbols,
+    }
     for rule in kernel.rules:
         if rule.target not in classes:
             raise KernelError(f"rule targets unknown causal state {rule.target!r}")
+        for condition, names in known.items():
+            value = getattr(rule, condition)
+            if value is not None and value not in names:
+                raise KernelError(f"rule for {rule.target!r} has unknown {condition} {value!r}")
         subs = set(kernel.sub_states[rule.target])
         unknown = set(rule.probs) - subs
         if unknown:
@@ -261,17 +268,10 @@ def refine_memory(c: CausalMachine, kernel: RefinementKernel) -> PrescientMemory
     except DisconnectedError as exc:
         raise KernelError(f"kernel induces a reducible memory chain: {exc}") from exc
 
-    memory = PrescientMemory(
-        machine=refined,
-        base=c,
-        causal_map=class_of,
-        memory_id=kernel.name,
-        kernel=kernel,
-    )
     _require_prescient(
         refined, class_of, c, f"refinement {kernel.name!r} deviates from its causal morphs"
     )
-    return memory
+    return PrescientMemory(machine=refined, base=c, causal_map=class_of, memory_id=kernel.name)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ A generator writes k-symbol blocks onto a tape while updating its
 prescient memory; an extractor reads each block, updates its own memory,
 and resets the cells to freshly drawn default symbols. Work is booked
 analytically per block (the costs are quasistatic averages), while the
-ledger accumulates empirical frequency tables that cross-check the
-analytic entropies.
+ledger holds empirical frequency tables that cross-check the analytic
+entropies.
 
 One shared stream drives the pattern symbols (the extractor reads what
 the generator wrote); memory-kernel randomness uses an independent
@@ -14,10 +14,10 @@ substream per device, so indeterministic refinements stay private noise.
 
 from __future__ import annotations
 
-import io
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -43,17 +43,9 @@ class SimConfig:
             raise ValueError("n_blocks must be >= 1")
 
 
-class BlockRecord(NamedTuple):
-    block_index: int
-    symbols: str
-    gen_state_before: str
-    gen_state_after: str
-    ext_state_before: str
-    ext_state_after: str
-    battery_balance_bits: float
-
-
-TRACE_COLUMNS = BlockRecord._fields  # the trace CSV header
+TRACE_COLUMNS = ("block_index", "symbols", "gen_state_before", "gen_state_after",
+                 "ext_state_before", "ext_state_after", "battery_balance_bits")
+CSV_CHUNK_ROWS = 1 << 16  # rows formatted per write, which bounds the text held
 
 
 class SimTrace(NamedTuple):
@@ -66,38 +58,26 @@ class SimTrace(NamedTuple):
     ext_labels: list[str]
     battery: list[float]
 
-    def _rows(self):
-        g, e = self.gen_labels, self.ext_labels
-        return zip(range(len(self.words)), self.words, g, g[1:], e, e[1:], self.battery)
-
-    @property
-    def records(self) -> list[BlockRecord]:
-        """One BlockRecord per block, built on each call."""
-        return list(map(BlockRecord._make, self._rows()))
-
     def to_csv(self, fh) -> None:
-        fh.write(",".join(TRACE_COLUMNS) + "\n" + "".join([
-            f"{i},{w},{gb},{ga},{eb},{ea},{b:.9f}\n" for i, w, gb, ga, eb, ea, b in self._rows()
-        ]))
+        """Write the header line, then one line per block."""
+        g, e = self.gen_labels, self.ext_labels
+        rows = zip(range(len(self.words)), self.words, g, g[1:], e, e[1:], self.battery)
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        while chunk := [f"{i},{w},{gb},{ga},{eb},{ea},{b:.9f}\n"
+                        for i, w, gb, ga, eb, ea, b in islice(rows, CSV_CHUNK_ROWS)]:
+            fh.write("".join(chunk))
 
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
-
-@dataclass
-class WorkLedger:
+class WorkLedger(NamedTuple):
     """Analytic per-block costs plus empirical frequency tables."""
 
     w_tape_per_block: float
     w_diss_per_block: float
     w_out_per_block: float
-    block_count: int = 0
-    state_symbol_counts: Counter = field(default_factory=Counter)
-    symbol_counts: Counter = field(default_factory=Counter)
-    word_counts: Counter = field(default_factory=Counter)
-    default_counts: Counter = field(default_factory=Counter)
+    block_count: int
+    state_symbol_counts: Counter  # (generator state, symbol) -> count
+    symbol_counts: Counter
+    default_counts: Counter  # reset symbols drawn from the default distribution
 
     @property
     def net_per_block(self) -> float:
@@ -146,28 +126,6 @@ def _tally(codes, label) -> Counter:
     return Counter(dict(zip(map(label, distinct[order].tolist()), counts[order].tolist())))
 
 
-def empirical_entropy(sequence, block_len: int, overlapping: bool = True):
-    """Plug-in entropy of the block frequency table of a sequence.
-
-    Overlapping windows (the default) give phase-invariant estimates for
-    periodic data. Returns (entropy in bits, number of windows counted);
-    no bias correction is applied.
-    """
-    seq = list(sequence)
-    if block_len < 1:
-        raise ValueError("block_len must be >= 1")
-    if len(seq) < block_len:
-        raise InsufficientDataError(
-            f"sequence of length {len(seq)} has no {block_len}-blocks"
-        )
-    step = 1 if overlapping else block_len
-    counts = Counter(
-        tuple(seq[i : i + block_len])
-        for i in range(0, len(seq) - block_len + 1, step)
-    )
-    return _plugin_entropy(counts)
-
-
 def run_cycle(cfg: SimConfig):
     """Simulate n_blocks generate/extract rounds; returns (trace, ledger).
 
@@ -208,13 +166,7 @@ def run_cycle(cfg: SimConfig):
         weights = in_class.astype(float)
     gen_state, ext_state = _draws(weights, [gen_u[0], ext_u[0]])
 
-    w_tape, w_diss, w_out = block_work(mem, k)
-    ledger = WorkLedger(
-        w_tape_per_block=w_tape,
-        w_diss_per_block=w_diss,
-        w_out_per_block=w_out,
-        block_count=n_blocks,
-    )
+    work = block_work(mem, k)  # before the walks: its refusal is the first error
 
     # the generator needs nothing from the extractor: walk it all at once,
     # alternating a pattern draw (symbol) and a generator draw (landing state)
@@ -252,18 +204,21 @@ def run_cycle(cfg: SimConfig):
 
     # tallies count integer codes; Counter keys keep first-occurrence order,
     # which fixes the order in which the plug-in entropies sum
-    ledger.state_symbol_counts = _tally(
-        gen_path[:-1] * a + xs, lambda c: (states[c // a], symbols[c % a])
-    )
-    ledger.symbol_counts = _tally(xs, symbols.__getitem__)
     resets = _draws(mem.base.machine.default_distribution.probs, reset_u[:n_steps])
-    ledger.default_counts = _tally(resets, symbols.__getitem__)
+    ledger = WorkLedger(
+        *work,
+        block_count=n_blocks,
+        state_symbol_counts=_tally(
+            gen_path[:-1] * a + xs, lambda c: (states[c // a], symbols[c % a])
+        ),
+        symbol_counts=_tally(xs, symbols.__getitem__),
+        default_counts=_tally(resets, symbols.__getitem__),
+    )
     # block words as big-endian base-|A| codes, each distinct code spelled once
     place = a ** np.arange(k - 1, -1, -1)
     distinct, word_code = np.unique(xs.reshape(n_blocks, k) @ place, return_inverse=True)
     digits = (distinct[:, None] // place % a).tolist()
     spelled = ["".join(map(symbols.__getitem__, d)) for d in digits]
-    ledger.word_counts = _tally(word_code, spelled.__getitem__)
 
     return SimTrace(
         words=list(map(spelled.__getitem__, word_code.tolist())),

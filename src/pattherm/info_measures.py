@@ -90,9 +90,6 @@ class FiniteDistribution:
     def entropy(self) -> float:
         return entropy_bits(self.probs)
 
-    def probability(self, label) -> float:
-        return float(self.probs[self.labels.index(label)])
-
 
 def uniform_distribution(labels: Sequence) -> FiniteDistribution:
     n = len(labels)

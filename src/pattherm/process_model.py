@@ -6,8 +6,8 @@ calculus: stochastic rows, a single recurrent communicating class
 (ergodicity); unifilarity is read off the edges. All exact queries (the
 stationary distribution, the next-symbol rows and successor table, word
 tables grown one symbol at a time, the dense joint block table) and the
-seeded path sampler live here, together with the JSON machine-file
-format. Every word table is capped by DEFAULT_BLOCK_BUDGET words.
+sampling tables that `simulate` draws from live here, together with the
+JSON machine-file format. Every word table is capped by DEFAULT_BLOCK_BUDGET words.
 """
 
 from __future__ import annotations
@@ -127,11 +127,6 @@ class ValidatedMachine:
             raise UnifilarRequiredError("successor lookup needs a unifilar machine")
         T = self._symbol_matrices
         return np.where(T.max(axis=2) > 0.0, T.argmax(axis=2), -1).T
-
-    def successor(self, state: str, symbol: str) -> str | None:
-        """Unique positive-probability successor on (state, symbol), if any."""
-        j = self.successors()[self.state_index(state), self.alphabet.index(symbol)]
-        return self.states[j] if j >= 0 else None
 
     def stationary(self) -> np.ndarray:
         """pi[i], the stationary probability of state i."""
@@ -367,28 +362,6 @@ def _walk(rows: list, row: tuple[list, list, float], uniforms: list) -> list[int
         path.append(target)
         row = rows[target]
     return path
-
-
-def sample_path(m: ValidatedMachine, seed: int, n: int):
-    """Draw a length-n stationary trajectory, bit-identical per seed.
-
-    Returns (states, symbols): `states` has n+1 labels (state before each
-    symbol plus the final state), `symbols` has n labels. Each step draws
-    one (symbol, next state) edge of the current state.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    n_states = m.n_states
-    # edge e = x * n_states + j of row i: emit symbol x and move to state j,
-    # whose row draws the next edge
-    state_rows = _sampling_rows(m.step_matrix())
-    edge_rows = [state_rows[e % n_states] for e in range(len(m.alphabet) * n_states)]
-    draws = np.random.default_rng(seed).random(n + 1)
-    start = _draws(m.stationary(), draws[:1])[0]
-    edges = _walk(edge_rows, state_rows[start], draws[1:].tolist())
-    states = [m.states[start]] + [m.states[e % n_states] for e in edges]
-    symbols = [m.alphabet.symbols[e // n_states] for e in edges]
-    return states, symbols
 
 
 # ---------------------------------------------------------------------------

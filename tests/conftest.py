@@ -1,58 +1,68 @@
+from pathlib import Path
+
 import pytest
 
 from pattherm import (
     causal_memory,
+    load_machine_file,
     minimize_to_causal,
     parity_kernel,
+    parse_machine,
     previous_state_kernel,
     refine_memory,
     stochastic_split_kernel,
     validate_machine,
 )
-from pattherm.machines import (
-    even_process,
-    fair_coin,
-    golden_mean,
-    period_two,
-    perturbed_coin,
-    redundant_fair_coin,
-    redundant_perturbed_coin,
-)
+
+MACHINES = Path(__file__).resolve().parent.parent / "machines"
+
+
+def load(name):
+    """The validated machine of machines/<name>.json."""
+    return validate_machine(load_machine_file(MACHINES / f"{name}.json"))
 
 
 @pytest.fixture(scope="session")
 def fc():
-    return validate_machine(fair_coin())
+    return load("fc")
 
 
 @pytest.fixture(scope="session")
 def pc():
-    return validate_machine(perturbed_coin(0.9))
+    return load("pc09")
 
 
 @pytest.fixture(scope="session")
 def p2():
-    return validate_machine(period_two())
+    return load("p2")
 
 
 @pytest.fixture(scope="session")
 def gm():
-    return validate_machine(golden_mean())
+    return load("gm")
 
 
 @pytest.fixture(scope="session")
 def even():
-    return validate_machine(even_process())
+    return load("even")
 
 
 @pytest.fixture(scope="session")
 def pc_redundant():
-    return validate_machine(redundant_perturbed_coin(0.9))
+    return load("pc09_redundant")
 
 
 @pytest.fixture(scope="session")
 def fc_redundant():
-    return validate_machine(redundant_fair_coin())
+    """The fair coin presented with two states that track the last bit."""
+    return validate_machine(parse_machine({
+        "alphabet": ["0", "1"],
+        "states": ["S0", "S1"],
+        "transitions": [
+            {"from": s, "symbol": x, "p": 0.5, "to": f"S{x}"}
+            for s in ("S0", "S1") for x in ("0", "1")
+        ],
+    }))
 
 
 @pytest.fixture(scope="session")

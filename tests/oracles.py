@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
 from itertools import product
 
 import numpy as np
 
-from pattherm.cycle_sim import BlockRecord, SimTrace, WorkLedger
+from pattherm.cycle_sim import SimTrace, WorkLedger
 from pattherm.errors import DesynchronizedError
 from pattherm.thermo_costs import block_work
 
@@ -310,8 +310,8 @@ def einsum_joint_block(T, pi, k):
 
 
 # ---------------------------------------------------------------------------
-# per-draw references for sample_path and run_cycle: one bisect per draw,
-# each draw taking the next uniform of its stream
+# per-draw reference for run_cycle: one bisect per draw, each draw taking
+# the next uniform of its stream
 
 
 def _cumulative_rows(matrix):
@@ -326,21 +326,6 @@ def _cumulative_rows(matrix):
 def _draw(row, u):
     cum, idx = row
     return idx[min(bisect_right(cum, u * cum[-1]), len(idx) - 1)]
-
-
-def per_draw_path(m, seed, n):
-    """sample_path, one (symbol, next state) edge draw per step."""
-    n_states = m.n_states
-    edges = _cumulative_rows(m.step_matrix())
-    draws = np.random.default_rng(seed).random(n + 1).tolist()
-    state = _draw(_cumulative_rows(m.stationary()[None, :])[0], draws[0])
-    states = [m.states[state]]
-    symbols = []
-    for u in draws[1:]:
-        x, state = divmod(_draw(edges[state], u), n_states)
-        symbols.append(m.alphabet.symbols[x])
-        states.append(m.states[state])
-    return states, symbols
 
 
 def per_draw_cycle(cfg):
@@ -373,20 +358,14 @@ def per_draw_cycle(cfg):
     gen_state = _draw(member_row, next(gen_u))
     ext_state = _draw(member_row, next(ext_u))
 
-    w_tape, w_diss, w_out = block_work(mem, cfg.k)
-    ledger = WorkLedger(
-        w_tape_per_block=w_tape,
-        w_diss_per_block=w_diss,
-        w_out_per_block=w_out,
-    )
+    # the tallies are Counters, filled in place as the loop draws
+    ledger = WorkLedger(*block_work(mem, cfg.k), cfg.n_blocks, Counter(), Counter(), Counter())
     tape = deque()
-    records = []
     states = machine.states
     symbols = alphabet.symbols
+    words, gen_labels, ext_labels, battery = [], [states[gen_state]], [states[ext_state]], []
 
     for block in range(cfg.n_blocks):
-        gen_before = states[gen_state]
-        ext_before = states[ext_state]
         block_symbols = []
         for _ in range(cfg.k):
             x = _draw(emit_rows[gen_state], next(pattern_u))
@@ -405,26 +384,14 @@ def per_draw_cycle(cfg):
                     f"extractor in {states[ext_state]!r} cannot read {read!r}"
                 )
             ext_state = _draw(row, next(ext_u))
-        word = "".join(block_symbols)
-        ledger.word_counts[word] += 1
-        ledger.block_count += 1
         if mem.causal_map[states[gen_state]] != mem.causal_map[states[ext_state]]:
             raise DesynchronizedError(
                 f"block {block}: generator class "
                 f"{mem.causal_map[states[gen_state]]!r} != extractor class "
                 f"{mem.causal_map[states[ext_state]]!r}"
             )
-        records.append(
-            BlockRecord(
-                block_index=block,
-                symbols=word,
-                gen_state_before=gen_before,
-                gen_state_after=states[gen_state],
-                ext_state_before=ext_before,
-                ext_state_after=states[ext_state],
-                battery_balance_bits=ledger.battery_balance(block + 1),
-            )
-        )
-    _, words, gen_before, gen_after, ext_before, ext_after, battery = map(list, zip(*records))
-    trace = SimTrace(words, gen_before[:1] + gen_after, ext_before[:1] + ext_after, battery)
-    return trace, ledger
+        words.append("".join(block_symbols))
+        gen_labels.append(states[gen_state])
+        ext_labels.append(states[ext_state])
+        battery.append(ledger.battery_balance(block + 1))
+    return SimTrace(words, gen_labels, ext_labels, battery), ledger

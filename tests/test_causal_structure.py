@@ -281,8 +281,9 @@ class TestRefinement:
         )
         c = minimize_to_causal(validate_machine(spec))
         assert c.machine.transient_states == ("S",)
-        mem = refine_memory(c, previous_state_kernel(c))
-        assert mem.kernel.sub_states["S"] == ("S",)
+        kernel = previous_state_kernel(c)
+        assert kernel.sub_states["S"] == ("S",)
+        mem = refine_memory(c, kernel)
         assert prescience_gap(mem.machine, mem.causal_map, c) <= FUTURE_TOL
 
     def test_duplicate_sub_labels_rejected(self, pc_causal):

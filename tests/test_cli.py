@@ -19,15 +19,7 @@ from pattherm import (
     validate_machine,
 )
 from pattherm.cli import main
-from pattherm.machines import (
-    even_process,
-    fair_coin,
-    golden_mean,
-    period_two,
-    perturbed_coin,
-    redundant_perturbed_coin,
-)
-from pattherm.process_model import load_machine_file, save_machine_file
+from pattherm.process_model import load_machine_file
 
 from .oracles import binary_entropy
 
@@ -44,24 +36,22 @@ def exit_code(argv) -> int:
 
 
 @pytest.fixture()
-def pc_file(tmp_path):
-    path = tmp_path / "pc.json"
-    save_machine_file(validate_machine(perturbed_coin(0.9)), path)
-    return str(path)
+def pc_file():
+    return str(MACHINES / "pc09.json")
 
 
 @pytest.fixture()
-def fc_file(tmp_path):
-    path = tmp_path / "fc.json"
-    save_machine_file(validate_machine(fair_coin()), path)
-    return str(path)
+def fc_file():
+    return str(MACHINES / "fc.json")
 
 
 @pytest.fixture()
-def gm_file(tmp_path):
-    path = tmp_path / "gm.json"
-    save_machine_file(validate_machine(golden_mean()), path)
-    return str(path)
+def gm_file():
+    return str(MACHINES / "gm.json")
+
+
+def pc09_dict() -> dict:
+    return json.loads((MACHINES / "pc09.json").read_text())
 
 
 @pytest.fixture()
@@ -104,12 +94,10 @@ class TestAnalyze:
         assert grab(r"h = ([\d.]+)", out) == 1.0
         assert grab(r"E = ([\d.]+)", out) == 0.0
 
-    def test_non_converged_warning_is_one_line(self, tmp_path, capsys):
+    def test_non_converged_warning_is_one_line(self, capsys):
         # the even process synchronizes only asymptotically, so its
         # excess-entropy scan reaches the word budget unconverged
-        path = tmp_path / "even.json"
-        save_machine_file(validate_machine(even_process()), path)
-        assert main(["analyze", str(path)]) == 0
+        assert main(["analyze", str(MACHINES / "even.json")]) == 0
         captured = capsys.readouterr()
         assert "NOT converged" in captured.out
         lines = captured.err.splitlines()
@@ -118,7 +106,7 @@ class TestAnalyze:
         assert ".py:" not in lines[0]
 
     def test_bad_row_sum_exits_2_and_names_state(self, tmp_path, capsys):
-        data = machine_to_dict(validate_machine(perturbed_coin(0.9)))
+        data = pc09_dict()
         data["transitions"][0]["p"] = 0.85
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -224,7 +212,7 @@ class TestCosts:
         memory = tmp_path / "explicit.json"
         memory.write_text(json.dumps({
             "kind": "machine",
-            "machine": machine_to_dict(validate_machine(perturbed_coin(0.9))),
+            "machine": pc09_dict(),
             "causal_map": {"L": "L", "R": "R"},
         }))
         rows = []
@@ -431,17 +419,16 @@ class TestSimulate:
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
 
-    def test_period_two_exact(self, tmp_path, capsys):
-        path = tmp_path / "p2.json"
-        save_machine_file(validate_machine(period_two()), path)
-        assert main(["simulate", str(path), "-k", "1", "-n", "100", "--seed", "0"]) == 0
+    def test_period_two_exact(self, capsys):
+        assert main(["simulate", str(MACHINES / "p2.json"), "-k", "1", "-n", "100",
+                     "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert grab(r"empirical H\(X\|R\) = ([\d.]+)", out) == 0.0
         assert grab(r"battery balance = (-?[\d.]+)", out) == pytest.approx(0.0)
 
 
-    # SHA-256 of the trace CSV (-n 1000), recorded before the sampler was
-    # shared with sample_path; a changed draw order changes these bytes
+    # SHA-256 of the trace CSV (-n 1000); a changed draw order changes
+    # these bytes
     @pytest.mark.parametrize(
         "args, digest",
         [
@@ -505,7 +492,7 @@ class TestSimulate:
 
 
 def _machine_file(tmp_path, **changes):
-    data = machine_to_dict(validate_machine(perturbed_coin(0.9)))
+    data = pc09_dict()
     data.update(changes)
     path = tmp_path / "machine.json"
     path.write_text(json.dumps(data))
@@ -513,7 +500,7 @@ def _machine_file(tmp_path, **changes):
 
 
 def _bad_p(tmp_path):
-    data = machine_to_dict(validate_machine(perturbed_coin(0.9)))
+    data = pc09_dict()
     data["transitions"][0]["p"] = "x"
     return _machine_file(tmp_path, transitions=data["transitions"])
 
@@ -538,7 +525,7 @@ def _kernel(tmp_path, **changes):
 
 
 def _explicit_memory(tmp_path, causal_map, machine_changes=(), **changes):
-    machine = machine_to_dict(validate_machine(perturbed_coin(0.9)))
+    machine = pc09_dict()
     machine.update(machine_changes)
     data = {"kind": "machine", "machine": machine, "causal_map": causal_map}
     return _memory_file(tmp_path, {**data, **changes})
@@ -549,7 +536,7 @@ PC_MAP = {"L": "L", "R": "R"}
 
 def _gm_relabelled(tmp_path, old, new):
     """A simulate run of the golden mean with one state or symbol renamed."""
-    text = json.dumps(machine_to_dict(validate_machine(golden_mean())))
+    text = (MACHINES / "gm.json").read_text()
     path = tmp_path / "machine.json"
     path.write_text(text.replace(json.dumps(old), json.dumps(new)))
     return ["simulate", str(path), "-k", "1", "-n", "5"]
@@ -564,6 +551,16 @@ MALFORMED = {
     "kernel-p-list": lambda t: _kernel(t, rules=[{"target": "L", "p": [1.0]}, R_RULE]),
     "kernel-p-nan": lambda t: _kernel(t, sub_states={"L": ["L0", "L1"], "R": ["R"]}, rules=[
         {"target": "L", "p": {"L0": float("nan"), "L1": 1.0}}, R_RULE]),
+    # a condition naming no causal state, sub-state or symbol never matches,
+    # so the catch-all rule after it would be used in silence
+    "kernel-source-class-unknown": lambda t: _kernel(t, rules=[
+        {"target": "L", "source_class": "Q", "p": {"L": 1.0}}, L_RULE, R_RULE]),
+    "kernel-source-class-number": lambda t: _kernel(t, rules=[
+        {"target": "L", "source_class": 1, "p": {"L": 1.0}}, L_RULE, R_RULE]),
+    "kernel-source-sub-unknown": lambda t: _kernel(t, rules=[
+        {"target": "L", "source_sub": "Q", "p": {"L": 1.0}}, L_RULE, R_RULE]),
+    "kernel-symbol-unknown": lambda t: _kernel(t, rules=[
+        {"target": "L", "symbol": "Q", "p": {"L": 1.0}}, L_RULE, R_RULE]),
     "memory-causal-map-list": lambda t: _explicit_memory(t, ["L", "R"]),
     "memory-default-distribution": lambda t: _explicit_memory(
         t, PC_MAP, {"default_distribution": {"L": 0.2, "R": 0.8}}),
@@ -687,10 +684,8 @@ def test_mutated_inputs_exit_cleanly(tmp_path, case):
 
 class TestMinimize:
     def test_redundant_pc_minimizes_and_round_trips(self, tmp_path, capsys):
-        src = tmp_path / "pc4.json"
-        save_machine_file(validate_machine(redundant_perturbed_coin(0.9)), src)
         dst = tmp_path / "pc2.json"
-        assert main(["minimize", str(src), "-o", str(dst)]) == 0
+        assert main(["minimize", str(MACHINES / "pc09_redundant.json"), "-o", str(dst)]) == 0
         reloaded = validate_machine(load_machine_file(dst))
         assert reloaded.n_states == 2
         assert minimize_to_causal(reloaded).machine.n_states == 2

@@ -1,3 +1,6 @@
+import io
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,16 +17,16 @@ from pattherm import (
     Transition,
     causal_memory,
     cycle_report,
-    empirical_entropy,
     joint_block_distribution,
     minimize_to_causal,
     run_cycle,
-    sample_path,
     stochastic_split_kernel,
     refine_memory,
     validate_machine,
 )
+from pattherm.cycle_sim import _plugin_entropy
 from pattherm.process_model import DEFAULT_BLOCK_BUDGET
+from pattherm.thermo_costs import block_work
 
 from .oracles import binary_entropy, per_draw_cycle, word_labels
 from .test_process_model import random_machine
@@ -33,33 +36,18 @@ HB9 = binary_entropy(0.9)
 
 class TestEmpiricalEntropy:
     def test_constant_sequence(self):
-        h, n = empirical_entropy("aaaaaaa", 1)
-        assert h == 0.0 and n == 7
+        assert _plugin_entropy(Counter("aaaaaaa")) == (0.0, 7)
 
-    def test_alternating_overlapping_windows(self):
-        seq = "01" * 500 + "0"  # 500 windows of each phase
-        h, n = empirical_entropy(seq, 2, overlapping=True)
-        assert h == pytest.approx(1.0, abs=1e-12)
-        assert n == 1000
-        h_even, _ = empirical_entropy("01" * 500, 2, overlapping=True)
-        assert h_even == pytest.approx(1.0, abs=1e-5)  # one window short of exact
-
-    def test_alternating_non_overlapping_depends_on_phase(self):
-        seq = "01" * 500
-        h_aligned, _ = empirical_entropy(seq, 2, overlapping=False)
-        assert h_aligned == 0.0
-        h_shifted, _ = empirical_entropy(seq[1:-1], 2, overlapping=False)
-        assert h_shifted == 0.0  # the other phase, still a single block value
-
-    def test_pc_symbol_marginal_near_uniform(self, pc):
-        _, symbols = sample_path(pc, seed=4, n=100_000)
-        h, n = empirical_entropy(symbols, 1)
+    def test_pc_symbol_marginal_near_uniform(self, pc_memories):
+        cfg = SimConfig(memory=pc_memories["causal"], k=1, n_blocks=100_000, seed=4)
+        _, ledger = run_cycle(cfg)
+        h, n = ledger.empirical_symbol_entropy()
         assert n == 100_000
         assert h == pytest.approx(1.0, abs=0.01)
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
-            empirical_entropy("01", 3)
+            _plugin_entropy(Counter(""))
 
 
 class TestRunCycle:
@@ -68,7 +56,7 @@ class TestRunCycle:
             memory=causal_memory(p2_causal), k=1, n_blocks=100, seed=5
         )
         trace, ledger = run_cycle(cfg)
-        symbols = "".join(r.symbols for r in trace.records)
+        symbols = "".join(trace.words)
         assert symbols in ("01" * 50, "10" * 50)
         h, _ = ledger.empirical_conditional_entropy()
         assert h == 0.0
@@ -78,14 +66,27 @@ class TestRunCycle:
         cfg = SimConfig(memory=pc_memories["split50"], k=2, n_blocks=500, seed=17)
         trace_a, ledger_a = run_cycle(cfg)
         trace_b, ledger_b = run_cycle(cfg)
-        assert trace_a.csv_text() == trace_b.csv_text()
+        assert trace_a == trace_b
         assert ledger_a.state_symbol_counts == ledger_b.state_symbol_counts
 
     def test_ledger_cumulative_net_exact(self, pc_memories):
         cfg = SimConfig(memory=pc_memories["causal"], k=3, n_blocks=1000, seed=2)
         _, ledger = run_cycle(cfg)
+        # the ledger books block_work's W_diss, which can miss cycle_report's
+        # streamed one in the last bit
+        w_tape, w_diss, w_out = block_work(pc_memories["causal"], 3)
+        assert ledger.cumulative_net() == 1000 * (w_tape + w_diss - w_out)
         report = cycle_report(pc_memories["causal"], 3)
-        assert ledger.cumulative_net() == 1000 * report.net
+        assert ledger.cumulative_net() == pytest.approx(1000 * report.net, abs=1e-12)
+
+    def test_states_align_with_symbols(self, gm_causal):
+        cfg = SimConfig(memory=causal_memory(gm_causal), k=1, n_blocks=200, seed=5)
+        trace, _ = run_cycle(cfg)
+        m = gm_causal.machine
+        succ = m.successors()
+        assert len(trace.gen_labels) == 201 and len(trace.words) == 200
+        for s, x, t in zip(trace.gen_labels, trace.words, trace.gen_labels[1:]):
+            assert m.states[succ[m.state_index(s), m.alphabet.index(x)]] == t
 
     def test_empirical_conditional_entropy_converges(self, pc_memories):
         cfg = SimConfig(memory=pc_memories["causal"], k=1, n_blocks=20_000, seed=8)
@@ -96,11 +97,12 @@ class TestRunCycle:
 
     def test_block_frequencies_match_joint(self, gm_causal):
         cfg = SimConfig(memory=causal_memory(gm_causal), k=3, n_blocks=40_000, seed=13)
-        _, ledger = run_cycle(cfg)
+        trace, _ = run_cycle(cfg)
         joint = joint_block_distribution(gm_causal.machine, 3)
         labels = word_labels(gm_causal.machine.alphabet.symbols, 3)
         expected_p = joint.table.probs.sum(axis=(0, 2))
-        counts = np.array([ledger.word_counts.get(w, 0) for w in labels], dtype=float)
+        words = Counter(trace.words)
+        counts = np.array([words[w] for w in labels], dtype=float)
         keep = expected_p > 0.0
         assert counts[~keep].sum() == 0
         result = chisquare(counts[keep], expected_p[keep] * counts.sum())
@@ -119,9 +121,9 @@ class TestRunCycle:
         # stochastic refinement: private noise must not desynchronize classes
         cfg = SimConfig(memory=pc_memories["split50"], k=2, n_blocks=5000, seed=3)
         trace, _ = run_cycle(cfg)
-        mem = pc_memories["split50"]
-        for r in trace.records:
-            assert mem.class_of(r.gen_state_after) == mem.class_of(r.ext_state_after)
+        classes = pc_memories["split50"].causal_map
+        for g, e in zip(trace.gen_labels, trace.ext_labels, strict=True):
+            assert classes[g] == classes[e]
 
     def test_corrupted_causal_map_raises(self, pc_causal):
         # mislabelling private noise as causal class must trip the check
@@ -141,7 +143,9 @@ class TestRunCycle:
     def test_trace_csv_schema(self, p2_causal):
         cfg = SimConfig(memory=causal_memory(p2_causal), k=2, n_blocks=3, seed=0)
         trace, _ = run_cycle(cfg)
-        lines = trace.csv_text().strip().split("\n")
+        out = io.StringIO()
+        trace.to_csv(out)
+        lines = out.getvalue().strip().split("\n")
         assert lines[0] == (
             "block_index,symbols,gen_state_before,gen_state_after,"
             "ext_state_before,ext_state_after,battery_balance_bits"
@@ -150,19 +154,30 @@ class TestRunCycle:
         first = lines[1].split(",")
         assert first[0] == "0" and len(first[1]) == 2
 
+    def test_csv_chunks_join_to_the_whole_trace(self, pc_memories, monkeypatch):
+        trace, _ = run_cycle(SimConfig(memory=pc_memories["causal"], k=1, n_blocks=7, seed=0))
+        whole = io.StringIO()
+        trace.to_csv(whole)
+        monkeypatch.setattr("pattherm.cycle_sim.CSV_CHUNK_ROWS", 3)
+        writes = []
+        trace.to_csv(type("Sink", (), {"write": staticmethod(writes.append)}))
+        assert len(writes) == 4  # the header, then rows 0-2, 3-5 and 6
+        assert "".join(writes) == whole.getvalue()
+        assert len(whole.getvalue().splitlines()) == 8
+
     def test_battery_balance_is_minus_net(self, pc_memories):
         cfg = SimConfig(memory=pc_memories["last-two"], k=2, n_blocks=50, seed=6)
         trace, ledger = run_cycle(cfg)
-        assert trace.records[-1].battery_balance_bits == pytest.approx(
+        assert trace.battery[-1] == pytest.approx(
             -ledger.cumulative_net(), abs=1e-9
         )
 
 
-LEDGER_COUNTS = ("state_symbol_counts", "symbol_counts", "word_counts", "default_counts")
+LEDGER_COUNTS = ("state_symbol_counts", "symbol_counts", "default_counts")
 
 
 def assert_cycle_matches_oracle(cfg):
-    """run_cycle reproduces the per-draw loop: records, tallies in key
+    """run_cycle reproduces the per-draw loop: trace columns, tallies in key
     order, block count, or the same DesynchronizedError."""
     try:
         want_trace, want_ledger = per_draw_cycle(cfg)
@@ -173,8 +188,7 @@ def assert_cycle_matches_oracle(cfg):
         assert str(got.value) == str(want)
         return
     trace, ledger = run_cycle(cfg)
-    assert trace.records == want_trace.records
-    assert trace.csv_text() == want_trace.csv_text()
+    assert trace == want_trace
     for name in LEDGER_COUNTS:
         assert list(getattr(ledger, name).items()) == list(getattr(want_ledger, name).items())
     assert ledger.block_count == want_ledger.block_count == cfg.n_blocks

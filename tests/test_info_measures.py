@@ -57,7 +57,7 @@ class TestEntropy:
     def test_finite_distribution_labels(self):
         d = FiniteDistribution(("a", "b"), np.array([0.9, 0.1]))
         assert d.entropy() == pytest.approx(HB9)
-        assert d.probability("b") == 0.1
+        assert d.labels == ("a", "b") and d.probs[1] == 0.1
 
 
 def pair_table(probs):

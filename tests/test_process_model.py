@@ -18,19 +18,16 @@ from pattherm import (
     load_machine_file,
     machine_to_dict,
     parse_machine,
-    sample_path,
     save_machine_file,
     stationary_distribution,
     validate_machine,
 )
-from pattherm.machines import golden_mean, perturbed_coin
 from pattherm.process_model import _draws, _recurrent_classes, _sampling_rows, _walk
 
 from .oracles import (
     bfs_recurrent_classes,
     einsum_extend_words,
     einsum_joint_block,
-    per_draw_path,
     power_stationary,
     word_labels,
 )
@@ -200,42 +197,6 @@ class TestJointBlockDistribution:
         assert p_now == pytest.approx(p_shifted, abs=1e-12)
 
 
-class TestSamplePath:
-    def test_period_two_alternates(self, p2):
-        _, symbols = sample_path(p2, seed=3, n=6)
-        assert "".join(symbols) in ("010101", "101010")
-
-    def test_seed_reproducibility(self, pc):
-        a = sample_path(pc, seed=11, n=500)
-        b = sample_path(pc, seed=11, n=500)
-        assert a == b
-
-    def test_states_align_with_symbols(self, gm):
-        states, symbols = sample_path(gm, seed=5, n=200)
-        assert len(states) == 201 and len(symbols) == 200
-        for s, x, t in zip(states, symbols, states[1:]):
-            assert gm.successor(s, x) == t
-
-    def test_pc_repeat_frequency(self, pc):
-        _, symbols = sample_path(pc, seed=1, n=100_000)
-        repeats = sum(a == b for a, b in zip(symbols, symbols[1:]))
-        assert repeats / (len(symbols) - 1) == pytest.approx(0.9, abs=0.01)
-
-    def test_block_frequencies_match_joint_marginal(self, gm):
-        from scipy.stats import chisquare
-
-        _, symbols = sample_path(gm, seed=9, n=100_000)
-        joint = joint_block_distribution(gm, 3)
-        expected_p = joint.table.probs.sum(axis=(0, 2))
-        words = ["".join(symbols[i : i + 3]) for i in range(0, len(symbols) - 2, 3)]
-        labels = word_labels(gm.alphabet.symbols, 3)
-        counts = np.array([words.count(w) for w in labels], dtype=float)
-        keep = expected_p > 0.0
-        assert counts[~keep].sum() == 0
-        result = chisquare(counts[keep], expected_p[keep] * counts.sum())
-        assert result.pvalue > 1e-3
-
-
 MACHINE_JSON = {
     "alphabet": ["0", "1"],
     "states": ["A", "B"],
@@ -267,7 +228,7 @@ class TestMachineFiles:
     def test_default_distribution_parsed_and_validated(self):
         data = dict(MACHINE_JSON, default_distribution={"0": 0.25, "1": 0.75})
         m = validate_machine(parse_machine(data))
-        assert m.default_distribution.probability("1") == 0.75
+        assert m.default_distribution.probs.tolist() == [0.25, 0.75]
         bad = dict(MACHINE_JSON, default_distribution={"0": 0.5, "1": 0.75})
         with pytest.raises(MachineSpecError):
             parse_machine(bad)
@@ -369,16 +330,6 @@ def test_matmul_kernels_match_einsum_oracles(m, length):
     )
 
 
-@given(
-    st.one_of(random_machine(), random_machine(sparse=True)),
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 200),
-)
-@settings(max_examples=60, deadline=None)
-def test_sample_path_matches_per_draw_oracle(m, seed, n):
-    assert sample_path(m, seed, n) == per_draw_path(m, seed, n)
-
-
 @pytest.mark.parametrize("scale", [1.0, 1e-320])
 def test_draw_at_top_of_unit_interval_takes_last_positive_column(scale):
     # u * total rounds up to total when total is subnormal, and bisect_right
@@ -417,8 +368,8 @@ def test_recurrent_classes_match_bfs_oracle(adjacency):
     assert set(range(len(adjacency))) - recurrent == expected_transient
 
 
-def test_builders_match_documented_parameters():
-    pc = validate_machine(perturbed_coin(0.8))
-    assert pc.emission_matrix()[0] == pytest.approx([0.8, 0.2])
-    gm = validate_machine(golden_mean())
-    assert gm.successor("B", "1") == "A"
+def test_machine_files_match_documented_parameters(pc, gm):
+    # pc09.json repeats its last symbol with probability 0.9; gm.json
+    # forbids 00, so B (just read a 0) must read a 1 and return to A
+    assert pc.emission_matrix().tolist() == [[0.9, 0.1], [0.1, 0.9]]
+    assert gm.successors()[gm.state_index("B")].tolist() == [-1, gm.state_index("A")]

@@ -59,14 +59,11 @@ class TestGenerationTapeCost:
         c5 = generation_tape_cost(gm_causal, 5)
         assert c5 == pytest.approx(5 * c1, abs=1e-12)
 
-    def test_non_uniform_default(self):
-        from dataclasses import replace
-
-        from pattherm import FiniteDistribution, minimize_to_causal, validate_machine
-        from pattherm.machines import perturbed_coin
+    def test_non_uniform_default(self, pc):
+        from pattherm import FiniteDistribution, MachineSpec, minimize_to_causal, validate_machine
 
         biased = FiniteDistribution(("L", "R"), np.array([0.9, 0.1]))
-        spec = replace(perturbed_coin(0.9), default_distribution=biased)
+        spec = MachineSpec(pc.alphabet, pc.states, pc.transitions, biased)
         causal = minimize_to_causal(validate_machine(spec))
         # default entropy H_b(0.9) equals the pattern's entropy rate: no cost
         cost = generation_tape_cost(causal, 1)
