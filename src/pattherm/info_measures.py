@@ -185,16 +185,18 @@ def excess_entropy(m, L_max: int = 12, tol: float = 1e-9) -> ExcessEntropyResult
     (`check_budget`), the last value is returned flagged non-converged and
     a NonConvergedWarning is issued.
 
-    One forward pass: H(j + 1) is the entropy of P(w x) = sum_i A[w, i]
-    E[i, x], from the length-j word-state table A and the emission matrix
-    E, and each table extends the previous one by a symbol, so no table
-    longer than 2L - 1 symbols is built.
+    Each block is split at its middle: P(uv) = sum_i P(u, state i after u)
+    P(v | state i) holds for any edge-emitting presentation, so H(j) is the
+    entropy of past[ceil(j/2)] @ future[floor(j/2)]. past[l] is the length-l
+    word-state table (`extend_words`) and future[l] the state-word table
+    (`prepend_symbols`). The largest array is that |A|^(2L)-word product,
+    which `check_budget(2L)` bounds; its columns are not big-endian, which
+    the entropy does not see.
     """
     if L_max < 1:
         raise ValueError("L_max must be >= 1")
-    emission = m.emission_matrix()
-    blocks = [0.0]  # blocks[j] = H(j)
-    words = None  # then the word-state table of length len(blocks) - 2
+    past = [m.stationary()[None, :]]
+    future = [np.ones((m.n_states, 1))]
     history: list[tuple[int, float]] = []
     prev = None
     for L in range(1, L_max + 1):
@@ -202,10 +204,10 @@ def excess_entropy(m, L_max: int = 12, tol: float = 1e-9) -> ExcessEntropyResult
             m.check_budget(2 * L)
         except BlockTooLargeError:
             break
-        while len(blocks) <= 2 * L:
-            words = m.word_state_vectors(0) if words is None else m.extend_words(words)
-            blocks.append(entropy_bits(words @ emission))
-        e_l = 2.0 * blocks[L] - blocks[2 * L]
+        past.append(m.extend_words(past[-1]))
+        future.append(m.prepend_symbols(future[-1]))
+        h_l, h_2l = (entropy_bits(past[(j + 1) // 2] @ future[j // 2]) for j in (L, 2 * L))
+        e_l = 2.0 * h_l - h_2l
         history.append((L, e_l))
         if prev is not None and abs(e_l - prev) < tol:
             return ExcessEntropyResult(e_l, True, L, tuple(history))

@@ -230,7 +230,9 @@ def format_work(bits: float, units: Units) -> str:
     """A cost in bits, printed in `units` to 9 digits: fixed point for
     bits, scientific for joules."""
     if units.mode == "bits":
-        return f"{bits:.9f}"
+        text = f"{bits:.9f}"
+        # rounding noise such as -4.4e-16 prints unsigned, not as -0.000000000
+        return text.lstrip("-") if float(text) == 0.0 else text
     return f"{units.convert(bits):.9e}"
 
 

@@ -7,7 +7,8 @@ agreement between the two is meaningful evidence. `moore_partition` is
 the Moore refinement that `minimize_to_causal` must reproduce block for
 block. The einsum references
 at the end are the sum-of-products forms of the package's matmul
-kernels, kept to check those kernels' index layout. The per-draw
+kernels, kept to check those kernels' index layout, and the append-chain
+excess-entropy scan that the split-block scan must reproduce. The per-draw
 samplers at the end are the step-by-step loops that the package's path
 and cycle walks must reproduce draw for draw; they book work through the
 package's `block_work` and ledger types and share nothing else with it.
@@ -23,7 +24,8 @@ from itertools import product
 import numpy as np
 
 from pattherm.cycle_sim import SimTrace, WorkLedger
-from pattherm.errors import DesynchronizedError
+from pattherm.errors import BlockTooLargeError, DesynchronizedError
+from pattherm.info_measures import entropy_bits
 from pattherm.thermo_costs import block_work
 
 
@@ -307,6 +309,35 @@ def einsum_joint_block(T, pi, k):
     for _ in range(k):
         cur = np.einsum("rwi,xij->rwxj", cur, T).reshape(n, -1, n)
     return cur
+
+
+# ---------------------------------------------------------------------------
+# the excess-entropy scan as one append chain: the reference for the
+# split-block scan of `excess_entropy`
+
+
+def append_chain_excess_entropy(m, L_max: int = 12, tol: float = 1e-9):
+    """(history, converged, stopped_at) of the 2H(L) - H(2L) scan, each
+    H(j + 1) the entropy of P(w x) = sum_i A[w, i] E[i, x] from the
+    length-j word-state table A, grown one symbol at a time, and the
+    emission matrix E. Stops where `excess_entropy` does."""
+    emission = m.emission_matrix()
+    blocks = [0.0]  # blocks[j] = H(j)
+    words = None  # then the word-state table of length len(blocks) - 2
+    history = []
+    for L in range(1, L_max + 1):
+        try:
+            m.check_budget(2 * L)
+        except BlockTooLargeError:
+            break
+        while len(blocks) <= 2 * L:
+            words = m.word_state_vectors(0) if words is None else m.extend_words(words)
+            blocks.append(entropy_bits(words @ emission))
+        e_l = 2.0 * blocks[L] - blocks[2 * L]
+        history.append((L, e_l))
+        if (abs(e_l - history[-2][1]) if L > 1 else e_l) < tol:
+            return tuple(history), True, L
+    return tuple(history), False, history[-1][0] if history else 0
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,15 @@ class TestCosts:
         for col in ("W_tape", "W_diss_eq2", "W_diss_eq3", "W_diss_eq5", "W_out"):
             assert float(record[col]) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("k", ["2", "8"])
+    def test_rounding_noise_prints_no_negative_zero(self, k, capsys):
+        # the even process's eq3/eq5 routes come out as -4.4e-16 or -8.9e-16
+        assert main(["costs", str(MACHINES / "even.json"), "-k", k, "--csv"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        record = dict(zip(header.split(","), row.split(",")))
+        assert record["W_diss_eq5"] == "0.000000000"
+        assert "-0.000000000" not in row
+
     def test_kT_units_require_temperature(self, pc_file, capsys):
         assert main(["costs", pc_file, "-k", "1", "--units", "kT"]) == 2
         assert main(

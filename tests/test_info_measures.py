@@ -4,7 +4,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pattherm import (
@@ -25,7 +25,8 @@ from pattherm import (
 )
 from pattherm.info_measures import entropy_bits
 
-from .oracles import binary_entropy, brute_block_entropy
+from .oracles import append_chain_excess_entropy, binary_entropy, brute_block_entropy
+from .test_process_model import random_machine
 
 HB9 = binary_entropy(0.9)  # 0.46899559358928117
 
@@ -236,11 +237,11 @@ class TestExcessEntropy:
 
     @pytest.mark.parametrize("case", ["gm", "even", "random20x2"])
     def test_history_is_the_block_entropy_scan(self, case, request, word_budget):
-        # the forward pass must give 2H(L) - H(2L) to the last bit and stop
-        # where the per-L computation would be refused
+        # the incremental pass must give 2H(L) - H(2L) to the last bit and
+        # stop where the per-L computation would be refused
         if case == "even":
             word_budget(2**8)
-        m = request.getfixturevalue(case) if case != "random20x2" else _random_20x2()
+        m = request.getfixturevalue(case) if case != "random20x2" else _random_binary(20)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonConvergedWarning)
             e = excess_entropy(m)
@@ -253,21 +254,74 @@ class TestExcessEntropy:
             with pytest.raises(BlockTooLargeError):
                 m.check_budget(2 * (e.stopped_at + 1))
 
+    def test_even_process_against_brute_blocks(self, even):
+        with pytest.warns(NonConvergedWarning):
+            e = excess_entropy(even, L_max=4, tol=1e-15)
+        for L, value in e.history:
+            expected = 2 * brute_block_entropy(even, L) - brute_block_entropy(even, 2 * L)
+            assert value == pytest.approx(expected, abs=1e-12)
+        assert e.stopped_at == 4
+
+    @given(
+        st.one_of(
+            random_machine(), random_machine(sparse=True), random_machine(min_symbols=1)
+        ),
+        st.sampled_from([2**4, 2**7, 2**10, 2**16]),
+        st.sampled_from([1e-9, 1e-6, 1e-3]),
+    )
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_matches_the_append_chain_oracle(self, word_budget, m, budget, tol):
+        word_budget(budget)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergedWarning)
+            e = excess_entropy(m, tol=tol)
+        history, converged, stopped_at = append_chain_excess_entropy(m, tol=tol)
+        for (L, value), (L_ref, ref) in zip(e.history, history):
+            assert L == L_ref
+            assert value == pytest.approx(ref, abs=1e-12)
+        # a step within rounding of tol may stop one scan and not the other
+        steps = [history[0][1]] + [abs(b - a) for (_, a), (_, b) in zip(history, history[1:])]
+        if all(abs(step - tol) > 1e-12 for step in steps):
+            assert (e.converged, e.stopped_at) == (converged, stopped_at)
+
+    def test_peak_memory_stays_below_the_append_chain_table(self):
+        import tracemalloc
+
+        m = _random_binary(60)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NonConvergedWarning)
+                excess_entropy(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the append chain's last word-state table: 2^15 words x 60 states
+        assert peak < 2**15 * 60 * 8 / 4, peak
+
 
 def _block_entropy(m, L: int) -> float:
-    """H(L) computed on its own, from the length L - 1 word-state table A
-    and the emission matrix E: P(w x) = sum_i A[w, i] E[i, x]."""
-    return entropy_bits(m.word_state_vectors(L - 1) @ m.emission_matrix())
+    """H(L) computed on its own, split at the middle: the length ceil(L/2)
+    word-state table times the length floor(L/2) state-word table."""
+    future = np.ones((m.n_states, 1))
+    for _ in range(L // 2):
+        future = m.prepend_symbols(future)
+    return entropy_bits(m.word_state_vectors((L + 1) // 2) @ future)
 
 
-def _random_20x2():
+def _random_binary(n: int):
+    """A seeded n-state binary unifilar machine with a cycle through every state."""
     rng = np.random.default_rng(20151001)
-    states = [f"s{i}" for i in range(20)]
+    states = [f"s{i}" for i in range(n)]
     transitions = []
-    for i in range(20):
+    for i in range(n):
         probs = rng.dirichlet(np.ones(2))
-        targets = rng.integers(0, 20, size=2)
-        targets[0] = (i + 1) % 20
+        targets = rng.integers(0, n, size=2)
+        targets[0] = (i + 1) % n
         transitions += [
             Transition(states[i], str(x), float(probs[x]), states[int(targets[x])])
             for x in range(2)

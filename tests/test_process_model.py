@@ -285,14 +285,15 @@ class TestRandomMachineProperties:
 
 
 @st.composite
-def random_machine(draw, sparse=False):
-    """Up to 12 states and 2-4 symbols, unifilar or not, strongly connected.
+def random_machine(draw, sparse=False, min_symbols=2):
+    """Up to 12 states and `min_symbols`-4 symbols, unifilar or not,
+    strongly connected.
 
     With `sparse`, each state emits a random nonempty subset of the
     alphabet, so rows have zero columns and some symbols are forbidden.
     """
     n = draw(st.integers(1, 12))
-    a = draw(st.integers(2, 4))
+    a = draw(st.integers(min_symbols, 4))
     unifilar = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weights = np.zeros((n, a, n))
