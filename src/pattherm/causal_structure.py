@@ -10,7 +10,6 @@ transition, producing a larger memory that predicts exactly as well.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +23,11 @@ from .errors import (
 )
 from .info_measures import entropy_bits
 from .process_model import (
-    MachineSpec,
-    Transition,
     ValidatedMachine,
     _check_labels,
+    machine_from_tensor,
     parse_machine,
+    read_json_file,
     validate_machine,
 )
 
@@ -67,7 +66,9 @@ def minimize_to_causal(m: ValidatedMachine) -> CausalMachine:
     Blocks start as states whose next-symbol rows agree within FUTURE_TOL,
     then split while members send a symbol to different blocks or to none
     (Moore's refinement). Block order (and merged state labels) follow the
-    first member in input order.
+    first member in input order. Raises MachineSpecError when rows agree
+    within FUTURE_TOL only along a chain, since the first blocks, and so
+    the causal states, would then depend on the order of the states.
     """
     if not m.unifilar:
         raise UnifilarRequiredError(
@@ -81,7 +82,16 @@ def minimize_to_causal(m: ValidatedMachine) -> CausalMachine:
     apart = np.zeros((n, n))  # max over symbols of |P(x | i) - P(x | j)|
     for f in E.T:
         np.maximum(apart, np.abs(f[:, None] - f[None, :]), out=apart)
-    block = (apart <= FUTURE_TOL).argmax(axis=1).tolist()  # each named by a member
+    near = apart <= FUTURE_TOL
+    block = near.argmax(axis=1)  # each named by its first near member
+    i, j = np.nonzero((block[:, None] == block[None, :]) != near)
+    if i.size:
+        raise MachineSpecError(
+            f"states {m.states[i[0]]!r} and {m.states[j[0]]!r} have next-symbol rows "
+            f"{apart[i[0], j[0]]:.3e} apart in a chain of rows within {FUTURE_TOL:g}, "
+            "so the causal states would depend on the order of the states"
+        )
+    block = block.tolist()
     while True:
         first: dict[tuple, int] = {}  # signature -> lowest-indexed state with it
         refined = [
@@ -92,23 +102,11 @@ def minimize_to_causal(m: ValidatedMachine) -> CausalMachine:
             break
         block = refined
     reps, block_of = np.unique(block, return_inverse=True)  # lowest members, ascending
-    labels = [m.states[r] for r in reps.tolist()]
-    transitions = [
-        Transition(
-            labels[b], m.alphabet.symbols[x], float(E[r, x]), labels[block_of[succ[r, x]]]
-        )
-        for b, r in enumerate(reps.tolist())
-        for x in range(a)
-        if succ[r, x] >= 0
-    ]
-    quotient = validate_machine(
-        MachineSpec(
-            alphabet=m.alphabet,
-            states=tuple(labels),
-            transitions=tuple(transitions),
-            default_distribution=m.default_distribution,
-        )
-    )
+    labels = tuple(m.states[r] for r in reps.tolist())
+    T = np.zeros((a, len(reps), len(reps)))
+    b, x = np.nonzero(succ[reps] >= 0)
+    T[x, b, block_of[succ[reps[b], x]]] = E[reps[b], x]
+    quotient = machine_from_tensor(m.alphabet, labels, T, m.default_distribution)
     projection = {m.states[i]: labels[block_of[i]] for i in range(n)}
     return CausalMachine(machine=quotient, projection=projection)
 
@@ -235,36 +233,31 @@ def refine_memory(c: CausalMachine, kernel: RefinementKernel) -> PrescientMemory
     """
     _validate_kernel(c, kernel)
     machine = c.machine
-    states: list[str] = []
-    class_of: dict[str, str] = {}
-    for s in machine.states:
-        for u in kernel.sub_states[s]:
-            states.append(u)
-            class_of[u] = s
+    class_of = {u: s for s in machine.states for u in kernel.sub_states[s]}
+    states = tuple(class_of)
+    _check_labels(states, "state label")
+    sub_ix = {u: k for k, u in enumerate(states)}
 
-    transitions = []
-    for tr in machine.transitions:
-        for u in kernel.sub_states[tr.frm]:
+    E, succ = machine.emission_matrix(), machine.successors()
+    T = np.zeros((len(machine.alphabet), len(states), len(states)))
+    for i, x in np.argwhere(succ >= 0).tolist():
+        frm, to = machine.states[i], machine.states[succ[i, x]]
+        symbol = machine.alphabet.symbols[x]
+        for u in kernel.sub_states[frm]:
             for rule in kernel.rules:
-                if rule.target == tr.to and rule.matches(tr.frm, u, tr.symbol):
+                if rule.target == to and rule.matches(frm, u, symbol):
                     break
             else:
                 raise KernelError(
-                    f"no rule covers transition {tr.frm!r} --{tr.symbol!r}--> "
-                    f"{tr.to!r} from sub-state {u!r}"
+                    f"no rule covers transition {frm!r} --{symbol!r}--> "
+                    f"{to!r} from sub-state {u!r}"
                 )
             for v, q in rule.probs.items():
                 if q > 0.0:
-                    transitions.append(Transition(u, tr.symbol, tr.p * q, v))
+                    T[x, sub_ix[u], sub_ix[v]] = E[i, x] * q
 
     try:
-        refined = validate_machine(
-            MachineSpec(
-                alphabet=machine.alphabet,
-                states=tuple(states),
-                transitions=tuple(transitions),
-            )
-        )
+        refined = machine_from_tensor(machine.alphabet, states, T)
     except DisconnectedError as exc:
         raise KernelError(f"kernel induces a reducible memory chain: {exc}") from exc
 
@@ -293,10 +286,11 @@ def previous_state_kernel(
     last-two-symbols memory.
     """
     machine = c.machine
-    predecessors: dict[str, list[str]] = {s: [] for s in machine.states}
-    for tr in machine.transitions:
-        if tr.frm not in predecessors[tr.to]:
-            predecessors[tr.to].append(tr.frm)
+    into = machine.state_matrix() > 0.0  # into[i, j]: some symbol leads i to j
+    predecessors = {
+        s: [machine.states[i] for i in np.flatnonzero(into[:, j])]
+        for j, s in enumerate(machine.states)
+    }
     # a state with no in-edges (transient) keeps one sub-state of its own
     subs = {
         s: tuple(f"{p}>{s}" for p in predecessors[s]) or (s,) for s in machine.states
@@ -342,16 +336,17 @@ def parity_kernel(c: CausalMachine, name: str = "parity") -> RefinementKernel:
     """
     machine = c.machine
     subs = {s: (f"{s}%0", f"{s}%1") for s in machine.states}
+    succ = machine.successors()
     rules = []
-    for tr in machine.transitions:
-        flip = machine.alphabet.index(tr.symbol) % 2
+    for i, x in np.argwhere(succ >= 0).tolist():
+        frm, to = machine.states[i], machine.states[succ[i, x]]
         for b in (0, 1):
             rules.append(
                 KernelRule(
-                    target=tr.to,
-                    source_sub=f"{tr.frm}%{b}",
-                    symbol=tr.symbol,
-                    probs={f"{tr.to}%{b ^ flip}": 1.0},
+                    target=to,
+                    source_sub=f"{frm}%{b}",
+                    symbol=machine.alphabet.symbols[x],
+                    probs={f"{to}%{b ^ x % 2}": 1.0},
                 )
             )
     return RefinementKernel(name=name, sub_states=subs, rules=tuple(rules))
@@ -580,13 +575,7 @@ def _file_name(data: dict, default: str) -> str:
 
 def load_memory_file(path, base: CausalMachine) -> PrescientMemory:
     """Load a memory selector file: a refinement kernel or explicit machine."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise KernelError(
-                f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+    data = read_json_file(path, KernelError)
     stem = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
     if not isinstance(data, dict):
         raise KernelError("memory file must hold a JSON object")

@@ -34,7 +34,7 @@ from .process_model import (
     save_machine_file,
     validate_machine,
 )
-from .thermo_costs import CSV_COLUMNS, Units, cycle_report, cycle_reports, format_work
+from .thermo_costs import BITS, CSV_COLUMNS, Units, cycle_report, cycle_reports, format_work
 
 EXIT_VALIDATION = 2
 EXIT_PRESCIENCE = 3
@@ -136,7 +136,7 @@ def cmd_analyze(args) -> int:
     print(f"entropy rate h = {h:.9f} bits/symbol")
     flag = (f"converged at L={e.converged_at}" if e.converged
             else f"NOT converged by L={e.stopped_at}")
-    print(f"excess entropy E = {e.value:.9f} bits ({flag})")
+    print(f"excess entropy E = {format_work(e.value, BITS)} bits ({flag})")
     if profile.sync_at is not None:
         print(f"synchronization: residual < {SYNC_TOL:g} at L={profile.sync_at}")
     else:

@@ -1,9 +1,10 @@
 """Finite edge-emitting presentations of stationary stochastic processes.
 
 A machine is a set of states with probabilistic symbol-emitting
-transitions. Validation enforces the standing assumptions of the cost
-calculus: stochastic rows, a single recurrent communicating class
-(ergodicity); unifilarity is read off the edges. All exact queries (the
+transitions, held as its symbol tensor T[x, i, j]. Every machine is built
+from T by `machine_from_tensor`, which enforces the standing assumptions of
+the cost calculus: stochastic rows, a single recurrent communicating class
+(ergodicity); unifilarity is read off T. All exact queries (the
 stationary distribution, the next-symbol rows and successor table, word
 tables grown one symbol at a time, the dense joint block table) and the
 sampling tables that `simulate` draws from live here, together with the
@@ -66,8 +67,7 @@ class Transition(NamedTuple):
     to: str
 
 
-@dataclass(frozen=True)
-class MachineSpec:
+class MachineSpec(NamedTuple):
     """Unvalidated machine description, as parsed from user input."""
 
     alphabet: Alphabet
@@ -82,7 +82,6 @@ class ValidatedMachine:
 
     alphabet: Alphabet
     states: tuple[str, ...]
-    transitions: tuple[Transition, ...]
     unifilar: bool
     transient_states: tuple[str, ...]
     default_distribution: FiniteDistribution
@@ -204,28 +203,53 @@ def _check_labels(labels, what: str) -> None:
             raise MachineSpecError(f"{what} {label!r} may not hold a comma, quote or line break")
 
 
+def machine_from_tensor(
+    alphabet: Alphabet, states: tuple[str, ...], T: np.ndarray, default=None
+) -> ValidatedMachine:
+    """The validated handle for T[x, i, j] = P(emit x and move to j | i);
+    labels are taken as checked. Raises RowSumError unless every row sums
+    to 1 and DisconnectedError unless the positive edges leave one recurrent
+    class. A `default` of None means the uniform default distribution."""
+    for i, total in enumerate(T.sum(axis=(0, 2))):
+        if abs(total - 1.0) > ROW_TOL:
+            raise RowSumError(states[i], float(total))
+    recurrent = _recurrent_classes(T.sum(axis=0) > 0.0)
+    if len(recurrent) != 1:
+        names = [sorted(states[i] for i in comp) for comp in recurrent]
+        raise DisconnectedError(
+            f"{len(recurrent)} recurrent classes under positive transitions: {names}"
+        )
+    return ValidatedMachine(
+        alphabet=alphabet,
+        states=states,
+        unifilar=bool(np.all((T > 0.0).sum(axis=2) <= 1)),
+        transient_states=tuple(s for i, s in enumerate(states) if i not in recurrent[0]),
+        default_distribution=(
+            uniform_distribution(alphabet.symbols) if default is None else default
+        ),
+        _symbol_matrices=T,
+    )
+
+
 def validate_machine(spec: MachineSpec) -> ValidatedMachine:
     """Check a machine spec and return the validated handle.
 
-    Raises RowSumError if a state's outgoing probabilities do not sum to 1,
-    DisconnectedError if the positive-probability graph has more than one
-    recurrent class, and MachineSpecError for structural problems.
+    Raises MachineSpecError for structural problems, then whatever
+    machine_from_tensor raises.
     """
-    alphabet = spec.alphabet
-    states = tuple(str(s) for s in spec.states)
+    alphabet, states, transitions, default = spec
+    states = tuple(str(s) for s in states)
     if not states:
         raise MachineSpecError("machine has no states")
     if len(set(states)) != len(states):
         raise MachineSpecError(f"duplicate state labels in {states!r}")
     _check_labels(alphabet.symbols, "symbol")
     _check_labels(states, "state label")
-    n, a = len(states), len(alphabet)
     state_ix = {s: i for i, s in enumerate(states)}
 
-    T = np.zeros((a, n, n))
+    T = np.zeros((len(alphabet), len(states), len(states)))
     seen = set()
-    transitions = []
-    for t in spec.transitions:
+    for t in transitions:
         tr = Transition(str(t[0]), str(t[1]), float(t[2]), str(t[3]))
         if tr.frm not in state_ix:
             raise MachineSpecError(f"transition from unknown state {tr.frm!r}")
@@ -240,41 +264,12 @@ def validate_machine(spec: MachineSpec) -> ValidatedMachine:
         seen.add(key)
         if tr.p > 0.0:
             T[x, state_ix[tr.frm], state_ix[tr.to]] = tr.p
-            transitions.append(tr)
 
-    row_sums = T.sum(axis=(0, 2))
-    for i, total in enumerate(row_sums):
-        if abs(total - 1.0) > ROW_TOL:
-            raise RowSumError(states[i], float(total))
-
-    unifilar = bool(np.all((T > 0.0).sum(axis=2) <= 1))
-
-    adjacency = T.sum(axis=0) > 0.0
-    recurrent = _recurrent_classes(adjacency)
-    if len(recurrent) != 1:
-        names = [sorted(states[i] for i in comp) for comp in recurrent]
-        raise DisconnectedError(
-            f"{len(recurrent)} recurrent classes under positive transitions: {names}"
-        )
-    transient = tuple(s for i, s in enumerate(states) if i not in recurrent[0])
-
-    default = spec.default_distribution
-    if default is None:
-        default = uniform_distribution(alphabet.symbols)
-    elif tuple(default.labels) != alphabet.symbols:
+    if default is not None and tuple(default.labels) != alphabet.symbols:
         raise MachineSpecError(
             "default distribution labels must match the alphabet exactly"
         )
-
-    return ValidatedMachine(
-        alphabet=alphabet,
-        states=states,
-        transitions=tuple(transitions),
-        unifilar=unifilar,
-        transient_states=transient,
-        default_distribution=default,
-        _symbol_matrices=T,
-    )
+    return machine_from_tensor(alphabet, states, T, default)
 
 
 def stationary_distribution(m: ValidatedMachine) -> np.ndarray:
@@ -442,32 +437,32 @@ def parse_machine(data: dict) -> MachineSpec:
     )
 
 
+def read_json_file(path, error: type[Exception]):
+    """The JSON document in the file at `path`. Text that is not UTF-8,
+    not JSON or nested too deeply to parse raises `error`, one line naming
+    the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
 def load_machine_file(path) -> MachineSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MachineSpecError(
-                f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    return parse_machine(data)
+    return parse_machine(read_json_file(path, MachineSpecError))
 
 
 def machine_to_dict(m: ValidatedMachine) -> dict:
-    ordered = sorted(
-        m.transitions,
-        key=lambda t: (
-            m.states.index(t.frm),
-            m.alphabet.index(t.symbol),
-            m.states.index(t.to),
-        ),
-    )
+    T = m.symbol_matrices()
+    i, x, j = np.nonzero(T.transpose(1, 0, 2))  # (state, symbol, target) order
     out = {
         "alphabet": list(m.alphabet.symbols),
         "states": list(m.states),
         "transitions": [
-            {"from": t.frm, "symbol": t.symbol, "p": t.p, "to": t.to}
-            for t in ordered
+            {"from": m.states[a], "symbol": m.alphabet.symbols[b], "p": p, "to": m.states[c]}
+            for a, b, c, p in zip(i.tolist(), x.tolist(), j.tolist(), T[x, i, j].tolist())
         ],
     }
     uniform = uniform_distribution(m.alphabet.symbols)

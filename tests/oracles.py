@@ -3,7 +3,10 @@
 Everything here is deliberately dumb: pure-Python dict arithmetic over
 explicit edge products, with the stationary distribution found by power
 iteration. None of it shares code with the package's numpy pipelines, so
-agreement between the two is meaningful evidence. `moore_partition` is
+agreement between the two is meaningful evidence. The edge lists are read
+back from the symbol tensor by `machine_to_dict`;
+`test_tensor_holds_exactly_the_file_edges` checks them against the
+machine files' own edges. `moore_partition` is
 the Moore refinement that `minimize_to_causal` must reproduce block for
 block. The einsum references
 at the end are the sum-of-products forms of the package's matmul
@@ -26,6 +29,7 @@ import numpy as np
 from pattherm.cycle_sim import SimTrace, WorkLedger
 from pattherm.errors import BlockTooLargeError, DesynchronizedError
 from pattherm.info_measures import entropy_bits
+from pattherm.process_model import Transition, machine_to_dict
 from pattherm.thermo_costs import block_work
 
 
@@ -40,9 +44,18 @@ def dict_entropy(table: dict) -> float:
     return -sum(p * math.log2(p) for p in table.values() if p > 0.0)
 
 
+def edges(machine) -> list:
+    """The positive edges of a validated machine as Transition tuples, in
+    (state, symbol, target) order."""
+    return [
+        Transition(t["from"], t["symbol"], t["p"], t["to"])
+        for t in machine_to_dict(machine)["transitions"]
+    ]
+
+
 def edges_by_state(machine) -> dict:
     out = {s: [] for s in machine.states}
-    for tr in machine.transitions:
+    for tr in edges(machine):
         out[tr.frm].append(tr)
     return out
 

@@ -42,6 +42,7 @@ from .oracles import (
     bayes_sync_residual,
     binary_entropy,
     brute_word_distribution,
+    edges,
     moore_partition,
     total_variation,
 )
@@ -122,7 +123,7 @@ def with_redundant_copies(draw, machines):
     m = draw(machines)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     states = list(m.states)
-    transitions = list(m.transitions)
+    transitions = edges(m)
     for _ in range(draw(st.integers(0, 3))):
         s = states[rng.integers(len(states))]
         copy = f"c{len(states)}"
@@ -474,7 +475,7 @@ class TestPrescienceCheck:
         symbols, states = mem.machine.alphabet.symbols, mem.machine.states
         moved = validate_machine(MachineSpec(mem.machine.alphabet, states, tuple(
             tr._replace(p=tr.p * scale[states.index(tr.frm), symbols.index(tr.symbol)])
-            for tr in mem.machine.transitions
+            for tr in edges(mem.machine)
         )))
         gap = prescience_gap(moved, mem.causal_map, base)
         for u in states:

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
@@ -119,6 +120,42 @@ class TestAnalyze:
         path.write_text('{\n  "alphabet": oops\n}')
         assert main(["analyze", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_rounding_noise_prints_no_negative_zero(self, tmp_path, capsys):
+        # this i.i.d. coin's E = 2H(1) - H(2) comes out as -2.2e-16
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps({
+            "alphabet": ["0", "1"],
+            "states": ["S"],
+            "transitions": [
+                {"from": "S", "symbol": "0", "p": 0.15, "to": "S"},
+                {"from": "S", "symbol": "1", "p": 0.85, "to": "S"},
+            ],
+        }))
+        assert main(["analyze", str(path)]) == 0
+        assert "excess entropy E = 0.000000000 bits" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("order", ["".join(p) for p in itertools.permutations("ABC")])
+    def test_near_tie_chain_exits_2_in_every_state_order(self, order, tmp_path, capsys):
+        # P(0 | B) is within FUTURE_TOL of P(0 | A) and of P(0 | C), which
+        # are not within it of each other: grouping by closeness would
+        # give 3 causal states in some orders and 1 in others
+        p0 = {"A": 0.5, "B": 0.5 + 6e-10, "C": 0.5 + 1.2e-9}
+        after0 = {"A": "B", "B": "C", "C": "A"}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({
+            "alphabet": ["0", "1"],
+            "states": list(order),
+            "transitions": [t for s in order for t in (
+                {"from": s, "symbol": "0", "p": p0[s], "to": after0[s]},
+                {"from": s, "symbol": "1", "p": 1.0 - p0[s], "to": "A"},
+            )],
+        }))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: states ")
 
     def test_non_unifilar_machine_exits_5(self, tmp_path):
         data = {
@@ -514,6 +551,18 @@ def _bad_p(tmp_path):
     return _machine_file(tmp_path, transitions=data["transitions"])
 
 
+def _raw_file(tmp_path, data: bytes) -> str:
+    path = tmp_path / "raw.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+# json.load raises RecursionError on this, and UnicodeDecodeError on a
+# UTF-16 byte-order mark
+TOO_DEEP = b"[" * 200_000 + b"]" * 200_000
+NOT_UTF8 = b"\xff\xfe{"
+
+
 def _memory_file(tmp_path, data, stem="memory"):
     path = tmp_path / f"{stem}.json"
     path.write_text(json.dumps(data))
@@ -590,6 +639,12 @@ MALFORMED = {
         "-k", "2", "--csv"],
     "simulate-seed-negative": lambda t: ["simulate", _machine_file(t), "-k", "1", "-n", "5",
                                          "--seed", "-1"],
+    "machine-nested-too-deep": lambda t: ["analyze", _raw_file(t, TOO_DEEP)],
+    "machine-not-utf8": lambda t: ["analyze", _raw_file(t, NOT_UTF8)],
+    "memory-nested-too-deep": lambda t: ["costs", _machine_file(t), "--memory",
+                                         _raw_file(t, TOO_DEEP), "-k", "1"],
+    "memory-not-utf8": lambda t: ["costs", _machine_file(t), "--memory",
+                                  _raw_file(t, NOT_UTF8), "-k", "1"],
     "alphabet-number": lambda t: ["analyze", _machine_file(t, alphabet=5)],
     "alphabet-string": lambda t: ["analyze", _machine_file(t, alphabet="LR")],
     "states-string": lambda t: ["analyze", _machine_file(t, states="LR")],

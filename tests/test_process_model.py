@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +233,26 @@ class TestMachineFiles:
         bad = dict(MACHINE_JSON, default_distribution={"0": 0.5, "1": 0.75})
         with pytest.raises(MachineSpecError):
             parse_machine(bad)
+
+    def test_tensor_holds_exactly_the_file_edges(self):
+        """Every shipped and benchmark pattern file: the edges machine_to_dict
+        reads back from the symbol tensor are the file's positive edges."""
+        root = Path(__file__).resolve().parent.parent
+        paths = sorted([*(root / "machines").rglob("*.json"),
+                        *(root / "perfbench" / "inputs").rglob("*.json")])
+        checked = 0
+        for path in paths:
+            data = json.loads(path.read_text())
+            if "transitions" not in data:
+                continue  # a kernel or memory file
+            m = validate_machine(parse_machine(data))
+            got = {(t["from"], t["symbol"], t["p"], t["to"])
+                   for t in machine_to_dict(m)["transitions"]}
+            want = {(t["from"], t["symbol"], t["p"], t["to"])
+                    for t in data["transitions"] if t["p"] > 0.0}
+            assert got == want, path
+            checked += 1
+        assert checked > 0
 
     def test_round_trip(self, tmp_path, gm):
         path = tmp_path / "gm.json"

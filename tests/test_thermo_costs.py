@@ -17,7 +17,7 @@ from pattherm import (
 )
 from pattherm.thermo_costs import CSV_COLUMNS, K_BOLTZMANN, block_entropies
 
-from .oracles import binary_entropy, brute_dissipation, dense_report_fields
+from .oracles import binary_entropy, brute_dissipation, dense_report_fields, edges
 
 HB9 = binary_entropy(0.9)
 
@@ -63,7 +63,7 @@ class TestGenerationTapeCost:
         from pattherm import FiniteDistribution, MachineSpec, minimize_to_causal, validate_machine
 
         biased = FiniteDistribution(("L", "R"), np.array([0.9, 0.1]))
-        spec = MachineSpec(pc.alphabet, pc.states, pc.transitions, biased)
+        spec = MachineSpec(pc.alphabet, pc.states, tuple(edges(pc)), biased)
         causal = minimize_to_causal(validate_machine(spec))
         # default entropy H_b(0.9) equals the pattern's entropy rate: no cost
         cost = generation_tape_cost(causal, 1)
