@@ -28,7 +28,6 @@ from .causal_structure import (
 )
 from .cycle_sim import SimConfig, WorkLedger, run_cycle
 from .errors import (
-    AxisError,
     BlockTooLargeError,
     DesynchronizedError,
     DisconnectedError,
@@ -44,14 +43,7 @@ from .errors import (
     SingularSolveError,
     UnifilarRequiredError,
 )
-from .info_measures import (
-    FiniteDistribution,
-    JointTable,
-    entropy,
-    entropy_rate,
-    excess_entropy,
-    uniform_distribution,
-)
+from .info_measures import JointTable, entropy_rate, excess_entropy
 from .process_model import (
     Alphabet,
     JointBlockDistribution,
@@ -64,6 +56,7 @@ from .process_model import (
     parse_machine,
     save_machine_file,
     stationary_distribution,
+    uniform_distribution,
     validate_machine,
 )
 from .thermo_costs import (

@@ -381,6 +381,18 @@ def random_kernel(
 # verification
 
 
+def _class_indices(machine, causal_map, base: CausalMachine) -> np.ndarray:
+    """The index in `base.machine.states` of class(m), for every state m."""
+    missing = set(machine.states) - set(causal_map)
+    if missing:
+        raise MachineSpecError(f"states missing from causal map: {sorted(missing)}")
+    index = {s: i for i, s in enumerate(base.machine.states)}
+    try:
+        return np.array([index[causal_map[u]] for u in machine.states])
+    except KeyError as exc:
+        raise MachineSpecError(f"unknown state {exc.args[0]!r}") from None
+
+
 def prescience_gap(
     machine: ValidatedMachine, causal_map: dict[str, str], base: CausalMachine
 ) -> float:
@@ -388,10 +400,7 @@ def prescience_gap(
     state's next-symbol row strays from its causal class's."""
     if machine.alphabet.symbols != base.machine.alphabet.symbols:
         raise MachineSpecError("candidate and causal alphabets differ")
-    missing = set(machine.states) - set(causal_map)
-    if missing:
-        raise MachineSpecError(f"states missing from causal map: {sorted(missing)}")
-    classes = [base.machine.state_index(causal_map[u]) for u in machine.states]
+    classes = _class_indices(machine, causal_map, base)
     E_base = base.machine.emission_matrix()
     return float(np.abs(machine.emission_matrix() - E_base[classes]).max())
 
@@ -402,7 +411,7 @@ def _require_prescient(machine, causal_map, base: CausalMachine, what: str) -> N
     prescience gap is within FUTURE_TOL. By induction on word length, each
     word w then has within |w| * gap of its class's probability."""
     gap = prescience_gap(machine, causal_map, base)
-    classes = np.array([base.machine.state_index(causal_map[u]) for u in machine.states])
+    classes = _class_indices(machine, causal_map, base)
     xs, us, vs = np.nonzero(machine.symbol_matrices())
     landing = base.machine.successors()[classes[us], xs]
     wrong = np.flatnonzero(landing != classes[vs])

@@ -204,7 +204,7 @@ def run_cycle(cfg: SimConfig):
 
     # tallies count integer codes; Counter keys keep first-occurrence order,
     # which fixes the order in which the plug-in entropies sum
-    resets = _draws(mem.base.machine.default_distribution.probs, reset_u[:n_steps])
+    resets = _draws(mem.base.machine.default_distribution, reset_u[:n_steps])
     ledger = WorkLedger(
         *work,
         block_count=n_blocks,

@@ -45,10 +45,6 @@ class BlockTooLargeError(PatthermError):
     """Requested word table exceeds the word budget, DEFAULT_BLOCK_BUDGET."""
 
 
-class AxisError(PatthermError):
-    """A named variable is absent from a joint table."""
-
-
 class UnifilarRequiredError(PatthermError):
     """Operation requires a unifilar presentation."""
 

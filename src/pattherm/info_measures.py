@@ -1,7 +1,9 @@
-"""Shannon entropy calculus over finite distributions and joint tables.
+"""Shannon entropy calculus over probability arrays and joint tables.
 
-All quantities are in bits (base-2 logarithms) with the convention
-0 * log2(0) = 0, so structurally forbidden outcomes contribute nothing.
+A probability vector is a plain float array; `_as_prob_array` is the one
+check of a table that comes from outside. All quantities are in bits
+(base-2 logarithms) with the convention 0 * log2(0) = 0, so structurally
+forbidden outcomes contribute nothing.
 Process-level rates (entropy rate, excess entropy) are defined here as
 well; they operate on validated machines from :mod:`pattherm.process_model`.
 """
@@ -10,16 +12,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import AxisError, BlockTooLargeError, DistributionError, NonConvergedWarning
+from .errors import BlockTooLargeError, DistributionError, NonConvergedWarning
 
 PROB_TOL = 1e-12
 
 
 def _as_prob_array(probs, tol: float = PROB_TOL) -> np.ndarray:
+    """`probs` as a float array; DistributionError unless it is non-empty,
+    finite, non-negative and sums to 1 within `tol`."""
     p = np.asarray(probs, dtype=float)
     if p.size == 0:
         raise DistributionError("empty probability table")
@@ -45,55 +49,12 @@ def entropy_bits(p: np.ndarray) -> float:
     """-sum(p * log2 p) of an unchecked array, in bits.
 
     The one entropy sum in the package; callers that take outside input
-    validate it first (see `entropy`). The sum runs over the whole array,
-    zeros included: `simulate` traces print n times per-block costs built
-    from these sums, so another summation order would change their bytes.
+    validate it first with `_as_prob_array`. The sum runs over the whole
+    array, zeros included: `simulate` traces print n times per-block costs
+    built from these sums, so another summation order would change their
+    bytes.
     """
     return float(-plogp(p).sum()) + 0.0  # normalize -0.0
-
-
-def entropy(probs) -> float:
-    """Shannon entropy of a distribution, in bits.
-
-    Parameters
-    ----------
-    probs : array-like or FiniteDistribution
-        Non-negative probabilities summing to 1 (tolerance 1e-12).
-
-    Returns
-    -------
-    float
-        -sum(p * log2 p), always >= 0.
-    """
-    if isinstance(probs, FiniteDistribution):
-        probs = probs.probs
-    return entropy_bits(_as_prob_array(probs))
-
-
-@dataclass(frozen=True)
-class FiniteDistribution:
-    """A labelled probability distribution over finitely many outcomes."""
-
-    labels: tuple
-    probs: np.ndarray
-
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        if len(set(labels)) != len(labels):
-            raise DistributionError("outcome labels must be unique")
-        p = _as_prob_array(self.probs)
-        if len(labels) != p.size:
-            raise DistributionError("label/probability length mismatch")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "probs", p)
-
-    def entropy(self) -> float:
-        return entropy_bits(self.probs)
-
-
-def uniform_distribution(labels: Sequence) -> FiniteDistribution:
-    n = len(labels)
-    return FiniteDistribution(tuple(labels), np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -108,33 +69,17 @@ class JointTable:
     probs: np.ndarray
 
     def __post_init__(self):
-        axes = tuple(self.axes)
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != len(axes):
-            raise AxisError(f"{len(axes)} axis names for {p.ndim}-dim table")
-        if len(set(axes)) != len(axes):
-            raise AxisError("axis names must be unique")
-        _as_prob_array(p)
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "probs", p)
-
-    def _axis_ids(self, names: Iterable[str] | str) -> tuple[int, ...]:
-        if isinstance(names, str):
-            names = (names,)
-        ids = []
-        for name in names:
-            if name not in self.axes:
-                raise AxisError(f"unknown axis {name!r}; have {self.axes}")
-            ids.append(self.axes.index(name))
-        if len(set(ids)) != len(ids):
-            raise AxisError(f"duplicate axis in {tuple(names)!r}")
-        return tuple(ids)
+        _as_prob_array(self.probs)
 
     def entropy(self, names: Iterable[str] | str | None = None) -> float:
         """Joint entropy of the named axes (all of them by default), in bits."""
         if names is None:
             return entropy_bits(self.probs)
-        keep = self._axis_ids(names)
+        if isinstance(names, str):
+            names = (names,)
+        keep = [self.axes.index(name) for name in names]  # ValueError on an unknown name
+        if len(set(keep)) != len(keep):
+            raise ValueError(f"duplicate axis in {tuple(names)!r}")
         drop = tuple(i for i in range(self.probs.ndim) if i not in keep)
         return entropy_bits(self.probs.sum(axis=drop) if drop else self.probs)
 

@@ -30,7 +30,7 @@ from .errors import (
     SingularSolveError,
     UnifilarRequiredError,
 )
-from .info_measures import FiniteDistribution, JointTable, uniform_distribution
+from .info_measures import JointTable, _as_prob_array
 
 ROW_TOL = 1e-12
 DEFAULT_BLOCK_BUDGET = 1 << 16  # max words in any word table; read by check_budget alone
@@ -53,12 +53,6 @@ class Alphabet:
     def __len__(self):
         return len(self.symbols)
 
-    def index(self, symbol: str) -> int:
-        try:
-            return self.symbols.index(symbol)
-        except ValueError:
-            raise MachineSpecError(f"unknown symbol {symbol!r}") from None
-
 
 class Transition(NamedTuple):
     frm: str
@@ -73,7 +67,7 @@ class MachineSpec(NamedTuple):
     alphabet: Alphabet
     states: tuple[str, ...]
     transitions: tuple[Transition, ...]
-    default_distribution: FiniteDistribution | None = None
+    default_distribution: np.ndarray | None = None  # in alphabet order
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +78,7 @@ class ValidatedMachine:
     states: tuple[str, ...]
     unifilar: bool
     transient_states: tuple[str, ...]
-    default_distribution: FiniteDistribution
+    default_distribution: np.ndarray  # P(x) of a default tape cell, in alphabet order
     _symbol_matrices: np.ndarray = field(repr=False)
     _stationary_cache: list = field(default_factory=list, repr=False)
     _step: np.ndarray = field(init=False, repr=False)
@@ -97,12 +91,6 @@ class ValidatedMachine:
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    def state_index(self, state: str) -> int:
-        try:
-            return self.states.index(state)
-        except ValueError:
-            raise MachineSpecError(f"unknown state {state!r}") from None
 
     def symbol_matrices(self) -> np.ndarray:
         """T[x, i, j] = P(emit symbol x and move to j | state i)."""
@@ -195,6 +183,11 @@ def _recurrent_classes(adjacency: np.ndarray) -> list[list[int]]:
     return [np.flatnonzero(reach[i]).tolist() for i in sorted(firsts)]
 
 
+def uniform_distribution(labels) -> np.ndarray:
+    """The uniform probability vector over `labels`."""
+    return np.full(len(labels), 1.0 / len(labels))
+
+
 def _check_labels(labels, what: str) -> None:
     """Refuse a label that would break a printed CSV row: `costs` and
     `sweep` print memory ids, `simulate` traces symbols and states."""
@@ -209,7 +202,8 @@ def machine_from_tensor(
     """The validated handle for T[x, i, j] = P(emit x and move to j | i);
     labels are taken as checked. Raises RowSumError unless every row sums
     to 1 and DisconnectedError unless the positive edges leave one recurrent
-    class. A `default` of None means the uniform default distribution."""
+    class. `default` is the default tape law, a checked probability array in
+    alphabet order; None means uniform."""
     for i, total in enumerate(T.sum(axis=(0, 2))):
         if abs(total - 1.0) > ROW_TOL:
             raise RowSumError(states[i], float(total))
@@ -234,10 +228,17 @@ def machine_from_tensor(
 def validate_machine(spec: MachineSpec) -> ValidatedMachine:
     """Check a machine spec and return the validated handle.
 
-    Raises MachineSpecError for structural problems, then whatever
-    machine_from_tensor raises.
+    Raises MachineSpecError for a bad default distribution or structural
+    problems, then whatever machine_from_tensor raises.
     """
     alphabet, states, transitions, default = spec
+    if default is not None:
+        try:
+            default = _as_prob_array(default)
+            if default.shape != (len(alphabet),):
+                raise DistributionError(f"shape {default.shape} for {len(alphabet)} symbols")
+        except DistributionError as exc:
+            raise MachineSpecError(f"bad default_distribution: {exc}") from exc
     states = tuple(str(s) for s in states)
     if not states:
         raise MachineSpecError("machine has no states")
@@ -246,6 +247,7 @@ def validate_machine(spec: MachineSpec) -> ValidatedMachine:
     _check_labels(alphabet.symbols, "symbol")
     _check_labels(states, "state label")
     state_ix = {s: i for i, s in enumerate(states)}
+    symbol_ix = {x: i for i, x in enumerate(alphabet.symbols)}
 
     T = np.zeros((len(alphabet), len(states), len(states)))
     seen = set()
@@ -255,7 +257,8 @@ def validate_machine(spec: MachineSpec) -> ValidatedMachine:
             raise MachineSpecError(f"transition from unknown state {tr.frm!r}")
         if tr.to not in state_ix:
             raise MachineSpecError(f"transition to unknown state {tr.to!r}")
-        x = alphabet.index(tr.symbol)
+        if tr.symbol not in symbol_ix:
+            raise MachineSpecError(f"unknown symbol {tr.symbol!r}")
         if not (0.0 <= tr.p <= 1.0 + ROW_TOL):
             raise MachineSpecError(f"probability {tr.p!r} outside [0, 1] in {tr}")
         key = (tr.frm, tr.symbol, tr.to)
@@ -263,12 +266,7 @@ def validate_machine(spec: MachineSpec) -> ValidatedMachine:
             raise MachineSpecError(f"duplicate transition {key!r}")
         seen.add(key)
         if tr.p > 0.0:
-            T[x, state_ix[tr.frm], state_ix[tr.to]] = tr.p
-
-    if default is not None and tuple(default.labels) != alphabet.symbols:
-        raise MachineSpecError(
-            "default distribution labels must match the alphabet exactly"
-        )
+            T[symbol_ix[tr.symbol], state_ix[tr.frm], state_ix[tr.to]] = tr.p
     return machine_from_tensor(alphabet, states, T, default)
 
 
@@ -414,16 +412,9 @@ def parse_machine(data: dict) -> MachineSpec:
         dd = data["default_distribution"]
         if not isinstance(dd, dict):
             raise MachineSpecError("default_distribution must map symbols to probabilities")
-        try:
-            default = FiniteDistribution(
-                alphabet.symbols,
-                np.array(
-                    [_probability(dd.get(s, 0.0), "default_distribution")
-                     for s in alphabet.symbols]
-                ),
-            )
-        except DistributionError as exc:
-            raise MachineSpecError(f"bad default_distribution: {exc}") from exc
+        default = np.array(
+            [_probability(dd.get(s, 0.0), "default_distribution") for s in alphabet.symbols]
+        )
         unknown = set(dd) - set(alphabet.symbols)
         if unknown:
             raise MachineSpecError(
@@ -465,12 +456,9 @@ def machine_to_dict(m: ValidatedMachine) -> dict:
             for a, b, c, p in zip(i.tolist(), x.tolist(), j.tolist(), T[x, i, j].tolist())
         ],
     }
-    uniform = uniform_distribution(m.alphabet.symbols)
-    if not np.array_equal(m.default_distribution.probs, uniform.probs):
-        out["default_distribution"] = {
-            s: float(p)
-            for s, p in zip(m.alphabet.symbols, m.default_distribution.probs)
-        }
+    default = m.default_distribution
+    if not np.array_equal(default, uniform_distribution(m.alphabet.symbols)):
+        out["default_distribution"] = dict(zip(m.alphabet.symbols, default.tolist()))
     return out
 
 

@@ -20,12 +20,7 @@ import numpy as np
 
 from .causal_structure import CausalMachine, PrescientMemory, as_causal, causal_memory
 from .errors import PatthermError
-from .info_measures import (
-    entropy,
-    entropy_bits,
-    excess_entropy,
-    symbol_entropy_given_state,
-)
+from .info_measures import entropy_bits, excess_entropy, symbol_entropy_given_state
 from .process_model import ValidatedMachine, joint_block_distribution
 
 K_BOLTZMANN = 1.380649e-23  # J/K
@@ -74,7 +69,7 @@ def _as_memory(m) -> PrescientMemory:
 
 def _default_entropy(mem: PrescientMemory) -> float:
     """H(X_default) of the pattern's default tape distribution."""
-    return entropy(mem.base.machine.default_distribution)
+    return entropy_bits(mem.base.machine.default_distribution)
 
 
 def generation_tape_cost(m, k: int) -> float:

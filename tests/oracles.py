@@ -138,7 +138,7 @@ def dense_report_fields(mem, k: int, excess: float) -> dict:
 
     h_all, h_r0w, h_wrk = h(p), h(p.sum(axis=2)), h(p.sum(axis=0))
     h_w, h_r0, h_rk = h(p.sum(axis=(0, 2))), h(p.sum(axis=(1, 2))), h(p.sum(axis=(0, 1)))
-    h_default = h(mem.base.machine.default_distribution.probs)
+    h_default = h(mem.base.machine.default_distribution)
     w_tape = k * (h_default - _symbol_entropy(mem.base.machine))
     w_out = k * (h_default - _symbol_entropy(mem.machine))
     eq3 = (h_r0w - h_r0) - (h_wrk - h_rk)
@@ -383,7 +383,7 @@ def per_draw_cycle(cfg):
     a = len(alphabet)
     emit_rows = _cumulative_rows(machine.emission_matrix())
     landing_rows = _cumulative_rows(machine.step_matrix().reshape(-1, n))
-    default_row = _cumulative_rows(default.probs[None, :])[0]
+    default_row = _cumulative_rows(default[None, :])[0]
 
     n_draws = cfg.k * cfg.n_blocks + 1
     pattern_u, gen_u, ext_u, reset_u = (
@@ -422,7 +422,7 @@ def per_draw_cycle(cfg):
             reset_sym = symbols[_draw(default_row, next(reset_u))]
             read = tape.popleft()
             ledger.default_counts[reset_sym] += 1
-            row = landing_rows[ext_state * a + alphabet.index(read)]
+            row = landing_rows[ext_state * a + alphabet.symbols.index(read)]
             if not row[1]:
                 raise DesynchronizedError(
                     f"extractor in {states[ext_state]!r} cannot read {read!r}"

@@ -234,13 +234,13 @@ class TestRefinement:
         base = pc_causal.machine
         T = mem.machine.symbol_matrices()
         for u in mem.machine.states:
-            i = mem.machine.state_index(u)
+            i = mem.machine.states.index(u)
             s = mem.causal_map[u]
             for x, sym in enumerate(mem.machine.alphabet.symbols):
                 folded = 0.0
                 for v in mem.machine.states:
-                    folded += T[x, i, mem.machine.state_index(v)]
-                want = base.emission_matrix()[base.state_index(s), x]
+                    folded += T[x, i, mem.machine.states.index(v)]
+                want = base.emission_matrix()[base.states.index(s), x]
                 assert folded == pytest.approx(want, abs=1e-12)
 
     def test_kernel_row_not_normalized(self, pc_causal):

@@ -705,7 +705,11 @@ def mutated_input(draw):
     """One of the three input documents with one to three fields replaced
     by an edge value or deleted."""
     kind = draw(st.sampled_from(("machine", "kernel", "memory")))
-    doc = _fuzz_documents()[kind]
+    return kind, _replace_fields(draw, _fuzz_documents()[kind])
+
+
+def _replace_fields(draw, doc):
+    """`doc` with one to three fields replaced by an edge value or deleted."""
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_fields(doc))
         if not paths:
@@ -719,7 +723,7 @@ def mutated_input(draw):
             del parent[path[-1]]
         else:
             parent[path[-1]] = value
-    return kind, doc
+    return doc
 
 
 @given(mutated_input())
@@ -744,6 +748,86 @@ def test_mutated_inputs_exit_cleanly(tmp_path, case):
         assert "inf" not in out.getvalue().lower()
     else:
         assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1
+
+
+def _seed_files() -> tuple[bytes, ...]:
+    """The shipped pattern file, with and without a default distribution,
+    the shipped kernel files and an explicit memory file, as bytes."""
+    docs = _fuzz_documents()
+    biased = dict(docs["machine"], default_distribution={"L": 0.9, "R": 0.1})
+    return (
+        (MACHINES / "pc09.json").read_bytes(),
+        json.dumps(biased, indent=2).encode(),
+        (MACHINES / "kernels" / "pc_split50.json").read_bytes(),
+        (MACHINES / "kernels" / "pc_last_two.json").read_bytes(),
+        json.dumps(docs["memory"], indent=2).encode(),
+    )
+
+
+SEED_FILES = _seed_files()
+JSON_BYTES = b'0123456789.-+eE"[]{},: '
+
+
+@st.composite
+def fuzzed_bytes(draw) -> bytes:
+    """Arbitrary bytes, or a seed file with one to four bytes replaced,
+    inserted or deleted, or with some of its JSON values replaced."""
+    how = draw(st.sampled_from(("arbitrary", "bytes", "values")))
+    if how == "arbitrary":
+        return draw(st.binary(max_size=64))
+    seed = draw(st.sampled_from(SEED_FILES))
+    if how == "values":
+        return json.dumps(_replace_fields(draw, json.loads(seed))).encode()
+    data = bytearray(seed)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        byte = draw(st.one_of(st.sampled_from(JSON_BYTES), st.integers(0, 255)))
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        if edit == "insert":
+            data.insert(pos, byte)
+        elif pos < len(data):
+            if edit == "replace":
+                data[pos] = byte
+            else:
+                del data[pos]
+    return bytes(data)
+
+
+# (subcommand, whether the fuzzed file is its --memory file, not its machine file)
+FUZZ_TARGETS = [(c, False) for c in ("analyze", "costs", "sweep", "simulate", "minimize")]
+FUZZ_TARGETS += [(c, True) for c in ("costs", "sweep", "simulate")]
+
+
+def _fuzz_argv(command: str, as_memory: bool, path: str, out: str) -> list[str]:
+    """A small run of `command` that reads the file at `path`."""
+    flags = {
+        "analyze": [],
+        "costs": ["-k", "2", "--csv"],
+        "sweep": ["--k-range", "1:2"],
+        "simulate": ["-k", "1", "-n", "20"],
+        "minimize": ["-o", out],
+    }[command]
+    if as_memory:
+        return [command, str(MACHINES / "pc09.json"), "--memory", path, *flags]
+    return [command, path, *flags]
+
+
+@given(st.sampled_from(FUZZ_TARGETS), fuzzed_bytes())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_bytes_exit_cleanly(tmp_path, target, data):
+    """Whatever bytes a machine or memory file holds, every subcommand
+    exits 0, 2, 3, 4 or 5, with one `error:` line when it fails."""
+    path = tmp_path / "fuzzed.json"
+    path.write_bytes(data)
+    argv = _fuzz_argv(*target, str(path), str(tmp_path / "out.json"))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = exit_code(argv)
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err.getvalue()
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert len(errors) == (code != 0)
 
 
 class TestMinimize:
@@ -774,3 +858,16 @@ class TestMinimize:
         path = tmp_path / "nonuni.json"
         path.write_text(json.dumps(data))
         assert main(["minimize", str(path), "-o", str(tmp_path / "x.json")]) == 5
+
+    def test_default_distribution_survives_minimize(self, tmp_path, capsys):
+        default = {"L": 0.9, "R": 0.1}
+        machine = _machine_file(tmp_path, default_distribution=default)
+        minimized = tmp_path / "minimized.json"
+        assert main(["minimize", machine, "-o", str(minimized)]) == 0
+        assert json.loads(minimized.read_text())["default_distribution"] == default
+        rows = []
+        for path in (machine, str(minimized)):
+            capsys.readouterr()
+            assert main(["costs", path, "-k", "2", "--csv"]) == 0
+            rows.append(capsys.readouterr().out)
+        assert rows[1] == rows[0]

@@ -86,7 +86,7 @@ class TestRunCycle:
         succ = m.successors()
         assert len(trace.gen_labels) == 201 and len(trace.words) == 200
         for s, x, t in zip(trace.gen_labels, trace.words, trace.gen_labels[1:]):
-            assert m.states[succ[m.state_index(s), m.alphabet.index(x)]] == t
+            assert m.states[succ[m.states.index(s), m.alphabet.symbols.index(x)]] == t
 
     def test_empirical_conditional_entropy_converges(self, pc_memories):
         cfg = SimConfig(memory=pc_memories["causal"], k=1, n_blocks=20_000, seed=8)

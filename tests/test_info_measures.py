@@ -9,21 +9,18 @@ from hypothesis import strategies as st
 
 from pattherm import (
     Alphabet,
-    AxisError,
     BlockTooLargeError,
     DistributionError,
-    FiniteDistribution,
     JointTable,
     MachineSpec,
     NonConvergedWarning,
     Transition,
-    entropy,
     entropy_rate,
     excess_entropy,
     joint_block_distribution,
     validate_machine,
 )
-from pattherm.info_measures import entropy_bits
+from pattherm.info_measures import _as_prob_array, entropy_bits
 
 from .oracles import append_chain_excess_entropy, binary_entropy, brute_block_entropy
 from .test_process_model import random_machine
@@ -33,32 +30,27 @@ HB9 = binary_entropy(0.9)  # 0.46899559358928117
 
 class TestEntropy:
     def test_uniform_two_outcomes(self):
-        assert entropy([0.5, 0.5]) == 1.0
+        assert entropy_bits(np.array([0.5, 0.5])) == 1.0
 
     def test_point_mass(self):
-        assert entropy([1.0, 0.0, 0.0]) == 0.0
+        assert entropy_bits(np.array([1.0, 0.0, 0.0])) == 0.0
 
     def test_biased_coin_matches_closed_form(self):
-        assert entropy([0.9, 0.1]) == pytest.approx(HB9, abs=1e-12)
+        assert entropy_bits(np.array([0.9, 0.1])) == pytest.approx(HB9, abs=1e-12)
         assert round(HB9, 6) == 0.468996
 
     def test_bounded_by_log_of_support(self):
         rng = np.random.default_rng(7)
         for n in (2, 3, 8):
             p = rng.dirichlet(np.ones(n))
-            h = entropy(p)
+            h = entropy_bits(p)
             assert 0.0 <= h <= math.log2(n) + 1e-9
 
     def test_rejects_negative_and_unnormalized(self):
         with pytest.raises(DistributionError):
-            entropy([0.7, -0.3, 0.6])
+            _as_prob_array([0.7, -0.3, 0.6])
         with pytest.raises(DistributionError):
-            entropy([0.7, 0.2])
-
-    def test_finite_distribution_labels(self):
-        d = FiniteDistribution(("a", "b"), np.array([0.9, 0.1]))
-        assert d.entropy() == pytest.approx(HB9)
-        assert d.labels == ("a", "b") and d.probs[1] == 0.1
+            _as_prob_array([0.7, 0.2])
 
 
 def pair_table(probs):
@@ -84,7 +76,7 @@ class TestConditionalEntropy:
 
     def test_unknown_axis(self):
         t = pair_table([[0.5, 0.0], [0.0, 0.5]])
-        with pytest.raises(AxisError):
+        with pytest.raises(ValueError):
             t.entropy(("z", "y"))
 
 
@@ -117,7 +109,7 @@ class TestMutualInformation:
 
     def test_overlapping_groups_rejected(self):
         t = pair_table([[0.5, 0.0], [0.0, 0.5]])
-        with pytest.raises(AxisError):
+        with pytest.raises(ValueError):
             t.entropy(("x", "y", "y"))
 
 
@@ -152,7 +144,7 @@ class TestEntropyCalculusProperties:
         # H(a, b) = H(a) + sum_a p(a) H(b | a), the conditional summed row by row
         pab = t.probs.sum(axis=2)
         pa = pab.sum(axis=1)
-        h_b_given_a = sum(p * entropy(row / p) for p, row in zip(pa, pab))
+        h_b_given_a = sum(p * entropy_bits(row / p) for p, row in zip(pa, pab))
         assert abs(t.entropy(("a", "b")) - (t.entropy("a") + h_b_given_a)) < 1e-12
 
     @given(random_joint_3())

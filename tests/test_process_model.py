@@ -93,7 +93,7 @@ class TestValidation:
         m = validate_machine(spec)
         assert m.transient_states == ("in",)
         pi = stationary_distribution(m)
-        assert pi[m.state_index("in")] == 0.0
+        assert pi[m.states.index("in")] == 0.0
 
     def test_unknown_state_reference(self):
         spec = MachineSpec(
@@ -113,8 +113,8 @@ class TestStationaryDistribution:
     def test_golden_mean_hand_solved(self, gm):
         # pi_A = pi_A/2 + pi_B, pi_B = pi_A/2, sum 1  =>  (2/3, 1/3)
         pi = stationary_distribution(gm)
-        assert pi[gm.state_index("A")] == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert pi[gm.state_index("B")] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert pi[gm.states.index("A")] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert pi[gm.states.index("B")] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_period_two_symmetric(self, p2):
         pi = stationary_distribution(p2)
@@ -136,7 +136,7 @@ class TestStationaryDistribution:
 class TestJointBlockDistribution:
     def test_pc_k1_entry(self, pc):
         joint = joint_block_distribution(pc, 1)
-        L, x = pc.state_index("L"), pc.alphabet.index("L")
+        L, x = pc.states.index("L"), pc.alphabet.symbols.index("L")
         # stationary 0.5 into L times the 0.9 self-loop
         assert joint.table.probs[L, x, L] == pytest.approx(0.45, abs=1e-12)
 
@@ -229,10 +229,16 @@ class TestMachineFiles:
     def test_default_distribution_parsed_and_validated(self):
         data = dict(MACHINE_JSON, default_distribution={"0": 0.25, "1": 0.75})
         m = validate_machine(parse_machine(data))
-        assert m.default_distribution.probs.tolist() == [0.25, 0.75]
+        assert m.default_distribution.tolist() == [0.25, 0.75]
         bad = dict(MACHINE_JSON, default_distribution={"0": 0.5, "1": 0.75})
         with pytest.raises(MachineSpecError):
-            parse_machine(bad)
+            validate_machine(parse_machine(bad))
+
+    @pytest.mark.parametrize("default", [[1.0], [0.5, 0.25, 0.25], [[0.5, 0.5]]])
+    def test_default_distribution_of_wrong_shape_rejected(self, default):
+        spec = parse_machine(MACHINE_JSON)._replace(default_distribution=np.array(default))
+        with pytest.raises(MachineSpecError, match="bad default_distribution"):
+            validate_machine(spec)
 
     def test_tensor_holds_exactly_the_file_edges(self):
         """Every shipped and benchmark pattern file: the edges machine_to_dict
@@ -394,4 +400,4 @@ def test_machine_files_match_documented_parameters(pc, gm):
     # pc09.json repeats its last symbol with probability 0.9; gm.json
     # forbids 00, so B (just read a 0) must read a 1 and return to A
     assert pc.emission_matrix().tolist() == [[0.9, 0.1], [0.1, 0.9]]
-    assert gm.successors()[gm.state_index("B")].tolist() == [-1, gm.state_index("A")]
+    assert gm.successors()[gm.states.index("B")].tolist() == [-1, gm.states.index("A")]

@@ -60,9 +60,9 @@ class TestGenerationTapeCost:
         assert c5 == pytest.approx(5 * c1, abs=1e-12)
 
     def test_non_uniform_default(self, pc):
-        from pattherm import FiniteDistribution, MachineSpec, minimize_to_causal, validate_machine
+        from pattherm import MachineSpec, minimize_to_causal, validate_machine
 
-        biased = FiniteDistribution(("L", "R"), np.array([0.9, 0.1]))
+        biased = np.array([0.9, 0.1])
         spec = MachineSpec(pc.alphabet, pc.states, tuple(edges(pc)), biased)
         causal = minimize_to_causal(validate_machine(spec))
         # default entropy H_b(0.9) equals the pattern's entropy rate: no cost
